@@ -63,7 +63,10 @@ pub const SHARD_ID_SHIFT: u32 = 40;
 pub struct ShardedFleet {
     cfg: ShardConfig,
     ring: HashRing,
-    shards: Vec<FleetClient>,
+    /// Shard clients in shard order. A [`ParallelFleet`](crate::ParallelFleet)
+    /// moves the whole vector out to its workers for a phase and puts
+    /// it back before any other method can run.
+    pub(crate) shards: Vec<FleetClient>,
     ticks: u64,
     steals: u64,
     checkpointers: Option<Vec<DeltaCheckpointer>>,
@@ -190,13 +193,7 @@ impl ShardedFleet {
         for shard in &mut self.shards {
             any |= shard.tick();
         }
-        self.ticks += 1;
-        if self.shards.len() > 1
-            && self.cfg.steal_every_ticks > 0
-            && self.ticks.is_multiple_of(self.cfg.steal_every_ticks)
-        {
-            self.steal_barrier();
-        }
+        self.advance(1);
         any
     }
 
@@ -205,9 +202,62 @@ impl ShardedFleet {
         while self.tick() || self.queued_len() > 0 || self.running_len() > 0 {}
     }
 
-    /// One steal barrier (see the type docs for the policy).
+    /// Ticks left until the next steal barrier, or `None` when this
+    /// fleet never steals (one shard, or a zero cadence).
+    pub(crate) fn ticks_to_barrier(&self) -> Option<u64> {
+        let cadence = self.cfg.steal_every_ticks;
+        (self.shards.len() > 1 && cadence > 0).then(|| cadence - self.ticks % cadence)
+    }
+
+    /// Count `ticks` global ticks that every shard has already run,
+    /// then run the steal barrier (see the type docs for the policy)
+    /// if the new count sits on its cadence. `ticks` never crosses a
+    /// barrier: it is at most [`ticks_to_barrier`](Self::ticks_to_barrier).
+    pub(crate) fn advance(&mut self, ticks: u64) {
+        let left = self.ticks_to_barrier();
+        debug_assert!(left.is_none_or(|left| ticks <= left), "advance crossed a steal barrier");
+        let on_cadence = left == Some(ticks);
+        self.ticks += ticks;
+        if on_cadence {
+            self.steal_barrier();
+        }
+    }
+
+    /// One steal barrier at the current tick (see the type docs for
+    /// the policy).
     fn steal_barrier(&mut self) {
-        self.steals += run_steal_barrier(&self.cfg, &mut self.shards, self.ticks);
+        let shards = &mut self.shards;
+        let mut budget = self.cfg.steal_max_per_barrier;
+        let takers: Vec<usize> =
+            (0..shards.len()).filter(|&i| shards[i].scheduler().queued_len() == 0).collect();
+        for taker in takers {
+            if budget == 0 {
+                break;
+            }
+            // Deepest queue wins; ties rotate by seeded hash, then
+            // fall to the smaller index. `(depth, !hash, !idx)` max =
+            // (max depth, min hash, min idx).
+            let donor = (0..shards.len())
+                .filter(|&i| i != taker && shards[i].scheduler().queued_len() >= 2)
+                .max_by_key(|&i| {
+                    let depth = shards[i].scheduler().queued_len();
+                    let mut key = [0u8; 24];
+                    key[..8].copy_from_slice(&self.cfg.steal_seed.to_le_bytes());
+                    key[8..16].copy_from_slice(&self.ticks.to_le_bytes());
+                    key[16..].copy_from_slice(&(i as u64).to_le_bytes());
+                    (depth, !fnv1a(&key), !(i as u64))
+                });
+            let Some(donor) = donor else { break };
+            let id = shards[donor]
+                .scheduler()
+                .newest_queued()
+                .expect("donor has at least two queued jobs");
+            let stolen =
+                shards[donor].donate_queued(id).expect("newest_queued returned a queued id");
+            shards[taker].adopt(stolen);
+            self.steals += 1;
+            budget -= 1;
+        }
     }
 
     /// Where `handle`'s job currently is, searching every shard
@@ -321,96 +371,35 @@ impl ShardedFleet {
         rejected: &[u64],
     ) -> Result<Self, CheckpointError> {
         let dir = dir.as_ref();
-        let shards = restore_clients(dir, &policy, registry, rejected)?;
-        let ring = HashRing::new(shards.len(), cfg.ring_replicas);
-        Ok(Self {
-            cfg,
-            ring,
-            shards,
-            ticks,
-            steals: 0,
-            checkpointers: None,
-            checkpoint_dir: Some(dir.to_path_buf()),
-        })
+        let mut shards = Vec::new();
+        loop {
+            let sub = shard_dir(dir, shards.len());
+            if !sub.is_dir() {
+                break;
+            }
+            let store = lnls_runtime::CheckpointStore::open(&sub).map_err(|source| {
+                CheckpointError::Io { segment: sub.display().to_string(), source }
+            })?;
+            let scheduler = Scheduler::restore(store.load_latest(registry)?);
+            let rejected_count = rejected.get(shards.len()).copied().unwrap_or(0);
+            shards.push(FleetClient::resume(scheduler, policy.clone(), rejected_count));
+        }
+        if shards.is_empty() {
+            return Err(CheckpointError::Empty { dir: dir.display().to_string() });
+        }
+        let mut fleet = Self::from_clients(cfg, shards, ticks);
+        fleet.checkpoint_dir = Some(dir.to_path_buf());
+        Ok(fleet)
     }
 }
 
-pub(crate) fn shard_dir(dir: &Path, i: usize) -> PathBuf {
+fn shard_dir(dir: &Path, i: usize) -> PathBuf {
     dir.join(format!("shard-{i:03}"))
-}
-
-/// One steal barrier over `shards` at global tick `ticks` (see the
-/// [`ShardedFleet`] type docs for the policy). Returns how many jobs
-/// moved. Shared verbatim by the serial facade and the parallel
-/// runtime's coordinator: the barrier is pure shard-state → shard-state,
-/// so both paths steal bit-identically.
-pub(crate) fn run_steal_barrier(cfg: &ShardConfig, shards: &mut [FleetClient], ticks: u64) -> u64 {
-    let mut budget = cfg.steal_max_per_barrier;
-    let mut steals = 0;
-    if budget == 0 {
-        return steals;
-    }
-    let takers: Vec<usize> =
-        (0..shards.len()).filter(|&i| shards[i].scheduler().queued_len() == 0).collect();
-    for taker in takers {
-        if budget == 0 {
-            break;
-        }
-        // Deepest queue wins; ties rotate by seeded hash, then
-        // fall to the smaller index. `(depth, !hash, !idx)` max =
-        // (max depth, min hash, min idx).
-        let donor = (0..shards.len())
-            .filter(|&i| i != taker && shards[i].scheduler().queued_len() >= 2)
-            .max_by_key(|&i| {
-                let depth = shards[i].scheduler().queued_len();
-                let mut key = [0u8; 24];
-                key[..8].copy_from_slice(&cfg.steal_seed.to_le_bytes());
-                key[8..16].copy_from_slice(&ticks.to_le_bytes());
-                key[16..].copy_from_slice(&(i as u64).to_le_bytes());
-                (depth, !fnv1a(&key), !(i as u64))
-            });
-        let Some(donor) = donor else { break };
-        let id =
-            shards[donor].scheduler().newest_queued().expect("donor has at least two queued jobs");
-        let stolen = shards[donor].donate_queued(id).expect("newest_queued returned a queued id");
-        shards[taker].adopt(stolen);
-        steals += 1;
-        budget -= 1;
-    }
-    steals
-}
-
-/// Rebuild shard clients from the latest base + delta chain in each
-/// `shard-NNN` subdirectory of `dir` — the common restore walk behind
-/// [`ShardedFleet::restore`] and the parallel facade's restore.
-pub(crate) fn restore_clients(
-    dir: &Path,
-    policy: &AdmissionPolicy,
-    registry: &JobRegistry,
-    rejected: &[u64],
-) -> Result<Vec<FleetClient>, CheckpointError> {
-    let mut shards = Vec::new();
-    loop {
-        let sub = shard_dir(dir, shards.len());
-        if !sub.is_dir() {
-            break;
-        }
-        let store = lnls_runtime::CheckpointStore::open(&sub)
-            .map_err(|source| CheckpointError::Io { segment: sub.display().to_string(), source })?;
-        let checkpoint = store.load_latest(registry)?;
-        let scheduler = Scheduler::restore(checkpoint);
-        let rejected_count = rejected.get(shards.len()).copied().unwrap_or(0);
-        shards.push(FleetClient::resume(scheduler, policy.clone(), rejected_count));
-    }
-    if shards.is_empty() {
-        return Err(CheckpointError::Empty { dir: dir.display().to_string() });
-    }
-    Ok(shards)
 }
 
 /// Merge per-shard reports into one fleet-wide report (see
 /// [`ShardedFleet::fleet_report`] for the field-by-field semantics).
-pub(crate) fn merge_reports(reports: &[FleetReport]) -> FleetReport {
+fn merge_reports(reports: &[FleetReport]) -> FleetReport {
     let mut merged = reports[0].clone();
     for r in &reports[1..] {
         merged.jobs_completed += r.jobs_completed;

@@ -22,17 +22,22 @@
 //! * [`ShardConfig`] — a *versioned* knob set: traces record the
 //!   [`CONFIG_VERSION`] they were captured under, and replay mints the
 //!   recorded version's frozen semantics even after defaults move.
-//! * [`ParallelFleet`] — the true-parallel service runtime: one worker
-//!   thread per group of shards, advancing barrier-to-barrier phases in
-//!   virtual time behind bounded MPSC queues. Tick ordering, stealing
-//!   and report merging are **bit-identical** to [`ShardedFleet`] at
-//!   any worker count (the `parallel_fleet` proptest harness pins it
-//!   across the whole scenario catalog).
+//! * [`ParallelFleet`] — the true-parallel service runtime: a
+//!   [`ShardedFleet`] plus a pool of worker threads, one per group of
+//!   shards, advancing barrier-to-barrier phases in virtual time behind
+//!   bounded MPSC queues. The wrapped fleet keeps all shard state and
+//!   every single-threaded step, so stealing and report merging are
+//!   the same code, and results are **bit-identical** at any worker
+//!   count (the `parallel_fleet` proptest harness pins it across the
+//!   whole scenario catalog). At one worker no thread is spawned and
+//!   ticks run inline.
 //!
 //! A 1-shard fleet degenerates exactly to a bare scheduler: shard 0
 //! mints ids from base 0, the steal barrier never fires (no peers),
 //! and [`ShardedFleet::fleet_report`] returns the shard's report
-//! verbatim — the equivalence the replay proptests pin bit-for-bit.
+//! verbatim — which is why the workload driver replays every trace on
+//! this one fleet type, and why the replay proptests can pin it
+//! against a bare scheduler loop bit-for-bit.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

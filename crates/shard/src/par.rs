@@ -1,7 +1,14 @@
-//! [`ParallelFleet`]: the true-parallel service runtime — one worker
-//! thread per group of shards, advancing in virtual time behind bounded
-//! MPSC command queues, bit-identical to the serial [`ShardedFleet`](crate::ShardedFleet)
-//! at any worker count.
+//! [`ParallelFleet`]: a [`ShardedFleet`] plus a pool of worker threads
+//! that run its shards' ticks concurrently, in virtual time, behind
+//! bounded MPSC command queues — bit-identical to the bare
+//! [`ShardedFleet`] at any worker count.
+//!
+//! All shard state and every single-threaded step (placement, submit,
+//! queries, the steal barrier, report merging, checkpoints) live in
+//! the wrapped [`ShardedFleet`]; this module adds only the pool and the
+//! phase protocol below. With one worker there is no pool at all:
+//! ticks run inline on the caller's thread, exactly as
+//! [`ShardedFleet::tick`] runs them.
 //!
 //! # Why this can be bit-identical at all
 //! Shards only interact at steal barriers: between two barriers every
@@ -18,41 +25,42 @@
 //! is ever in flight between threads mid-quantum.
 //!
 //! # The barrier protocol
-//! 1. The coordinator moves each shard's [`FleetClient`] into a
-//!    [`WorkerCmd::Run`] command on its worker's **bounded** queue
-//!    (capacity = the worker's shard count, so dispatch never blocks).
+//! 1. The coordinator moves the fleet's shard clients out and sends
+//!    each to its worker in a [`WorkerCmd::Run`] command on that
+//!    worker's **bounded** queue (capacity = the worker's shard count,
+//!    so dispatch never blocks).
 //! 2. Workers tick their shards concurrently, stopping early at the
 //!    first idle tick (idleness is monotone within a phase — no new
 //!    work can arrive mid-phase), and send the client back over the
 //!    shared done queue with the tick count it actually ran.
-//! 3. The coordinator joins all shards, *catches up* early-stopped
-//!    shards with the idle ticks the serial path would have issued
-//!    (idle ticks still advance telemetry and autosave cadences, so
-//!    tick counts must match exactly), then runs the steal barrier —
-//!    the same [`run_steal_barrier`] the serial facade calls.
+//! 3. The coordinator puts every client back in shard order, *catches
+//!    up* early-stopped shards with the idle ticks the serial path
+//!    would have issued (idle ticks still advance telemetry and
+//!    autosave cadences, so tick counts must match exactly), then
+//!    advances the fleet's tick counter, which runs the steal barrier
+//!    on its cadence — the same step [`ShardedFleet::tick`] takes.
 //!
 //! # Virtual-time merge order
 //! Reports, telemetry and steals merge in ascending shard order on the
-//! coordinator, exactly as [`ShardedFleet`](crate::ShardedFleet) merges them; no wall-clock
+//! coordinator, inside the wrapped [`ShardedFleet`]; no wall-clock
 //! ordering ever reaches the results.
 
 use crate::config::ShardConfig;
-use crate::fleet::{merge_reports, restore_clients, run_steal_barrier, shard_dir};
-use crate::ring::HashRing;
+use crate::fleet::ShardedFleet;
 use lnls_runtime::{
-    AdmissionPolicy, CheckpointError, DeltaCheckpointer, FleetClient, FleetReport, JobHandle,
-    JobRegistry, JobReport, JobSpec, JobStatus, Scheduler, SchedulerConfig, SearchJob,
-    SnapshotStats, SubmitError,
+    AdmissionPolicy, CheckpointError, FleetClient, FleetReport, JobHandle, JobRegistry, JobReport,
+    JobStatus, SchedulerConfig, SnapshotStats,
 };
 use std::io;
+use std::ops::{Deref, DerefMut};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// A command to a worker thread. The client travels *by value*: while a
-/// shard is out on a worker, the coordinator's slot for it is empty, so
-/// exactly one thread can ever touch a scheduler.
+/// shard is out on a worker it is not in the fleet, so exactly one
+/// thread can ever touch a scheduler.
 enum WorkerCmd {
     /// Tick `client` up to `max_ticks` times (stopping early once it
     /// goes idle), then send it home on the done queue.
@@ -65,17 +73,16 @@ enum WorkerCmd {
 struct WorkerDone {
     shard: usize,
     client: Box<FleetClient>,
+    ran: ShardPhase,
+}
+
+/// What one shard did in a phase.
+#[derive(Clone, Copy)]
+struct ShardPhase {
     /// Ticks actually executed (≤ the phase's `max_ticks`).
     ticks_run: u64,
     /// Whether the last executed tick returned `false` (shard fully
     /// idle: empty queue, nothing running).
-    went_idle: bool,
-}
-
-/// What the coordinator remembers about each shard's phase.
-#[derive(Clone, Copy)]
-struct ShardPhase {
-    ticks_run: u64,
     went_idle: bool,
 }
 
@@ -88,16 +95,15 @@ fn worker_loop(rx: Receiver<WorkerCmd>, done: SyncSender<WorkerDone>) {
     while let Ok(cmd) = rx.recv() {
         match cmd {
             WorkerCmd::Run { shard, mut client, max_ticks } => {
-                let mut ticks_run = 0;
-                let mut went_idle = false;
-                while ticks_run < max_ticks {
-                    ticks_run += 1;
+                let mut ran = ShardPhase { ticks_run: 0, went_idle: false };
+                while ran.ticks_run < max_ticks {
+                    ran.ticks_run += 1;
                     if !client.tick() {
-                        went_idle = true;
+                        ran.went_idle = true;
                         break;
                     }
                 }
-                if done.send(WorkerDone { shard, client, ticks_run, went_idle }).is_err() {
+                if done.send(WorkerDone { shard, client, ran }).is_err() {
                     return; // coordinator gone; nothing left to do
                 }
             }
@@ -106,87 +112,15 @@ fn worker_loop(rx: Receiver<WorkerCmd>, done: SyncSender<WorkerDone>) {
     }
 }
 
-/// The concurrent counterpart of [`ShardedFleet`](crate::ShardedFleet): the same facade
-/// (submit/tick/report/checkpoint), the same bits, but phases of shard
-/// ticks run on `workers` OS threads. See the module docs for the
-/// protocol and why results are independent of the worker count and of
-/// OS scheduling.
-pub struct ParallelFleet {
-    cfg: ShardConfig,
-    ring: HashRing,
-    /// `Some` at every public-method boundary; `None` only while the
-    /// shard is out on a worker mid-phase.
-    slots: Vec<Option<FleetClient>>,
+/// The worker threads of a [`ParallelFleet`]; shard `i` belongs to
+/// worker `i % workers.len()` for the pool's lifetime.
+struct Pool {
     workers: Vec<Worker>,
     done_rx: Receiver<WorkerDone>,
-    ticks: u64,
-    steals: u64,
-    checkpointers: Option<Vec<DeltaCheckpointer>>,
-    checkpoint_dir: Option<PathBuf>,
 }
 
-impl ParallelFleet {
-    /// Build a parallel fleet of `shards` schedulers served by
-    /// `workers` threads (clamped to `1..=shards`; shard `i` is pinned
-    /// to worker `i % workers` for the fleet's lifetime). `template`
-    /// and `build_devices` behave exactly as in [`ShardedFleet::new`](crate::ShardedFleet::new).
-    pub fn new(
-        cfg: ShardConfig,
-        policy: AdmissionPolicy,
-        shards: usize,
-        workers: usize,
-        template: SchedulerConfig,
-        mut build_devices: impl FnMut(usize) -> lnls_gpu_sim::MultiDevice,
-    ) -> Self {
-        assert!(shards > 0, "a fleet needs at least one shard");
-        let clients = (0..shards)
-            .map(|i| {
-                let mut shard_cfg = template.clone();
-                shard_cfg.id_base = (i as u64) << crate::fleet::SHARD_ID_SHIFT;
-                FleetClient::new(Scheduler::new(build_devices(i), shard_cfg), policy.clone())
-            })
-            .collect();
-        Self::assemble(cfg, clients, workers, 0)
-    }
-
-    /// Reassemble a parallel fleet from already-built (typically
-    /// restored) shard clients — the parallel twin of
-    /// [`ShardedFleet::from_clients`](crate::ShardedFleet::from_clients).
-    pub fn from_clients(
-        cfg: ShardConfig,
-        clients: Vec<FleetClient>,
-        workers: usize,
-        ticks: u64,
-    ) -> Self {
-        assert!(!clients.is_empty(), "a fleet needs at least one shard");
-        Self::assemble(cfg, clients, workers, ticks)
-    }
-
-    /// Rebuild a parallel fleet from the latest base + delta chain in
-    /// each `shard-NNN` subdirectory of `dir` — the parallel twin of
-    /// [`ShardedFleet::restore`](crate::ShardedFleet::restore). Restoration happens entirely on the
-    /// coordinator *before* any worker is involved, so a broken chain
-    /// surfaces as a typed [`CheckpointError`] naming the exact
-    /// segment; it can never panic a worker or hang a barrier.
-    pub fn restore(
-        cfg: ShardConfig,
-        policy: AdmissionPolicy,
-        dir: impl AsRef<Path>,
-        registry: &JobRegistry,
-        ticks: u64,
-        rejected: &[u64],
-        workers: usize,
-    ) -> Result<Self, CheckpointError> {
-        let dir = dir.as_ref();
-        let clients = restore_clients(dir, &policy, registry, rejected)?;
-        let mut fleet = Self::assemble(cfg, clients, workers, ticks);
-        fleet.checkpoint_dir = Some(dir.to_path_buf());
-        Ok(fleet)
-    }
-
-    fn assemble(cfg: ShardConfig, clients: Vec<FleetClient>, workers: usize, ticks: u64) -> Self {
-        let shards = clients.len();
-        let nworkers = workers.clamp(1, shards);
+impl Pool {
+    fn spawn(shards: usize, nworkers: usize) -> Self {
         let (done_tx, done_rx) = mpsc::sync_channel(shards);
         let workers = (0..nworkers)
             .map(|w| {
@@ -200,123 +134,26 @@ impl ParallelFleet {
                 Worker { tx, join: Some(join) }
             })
             .collect();
-        let ring = HashRing::new(shards, cfg.ring_replicas);
-        Self {
-            cfg,
-            ring,
-            slots: clients.into_iter().map(Some).collect(),
-            workers,
-            done_rx,
-            ticks,
-            steals: 0,
-            checkpointers: None,
-            checkpoint_dir: None,
-        }
+        Self { workers, done_rx }
     }
 
-    /// The frozen config this fleet runs under.
-    pub fn config(&self) -> &ShardConfig {
-        &self.cfg
-    }
-
-    /// The placement ring.
-    pub fn ring(&self) -> &HashRing {
-        &self.ring
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Number of worker threads serving the shards.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Global ticks elapsed (each advanced every shard once).
-    pub fn ticks(&self) -> u64 {
-        self.ticks
-    }
-
-    /// Jobs moved by steal barriers so far.
-    pub fn steals(&self) -> u64 {
-        self.steals
-    }
-
-    /// The checkpoint directory, when one was ever attached.
-    pub fn checkpoint_dir(&self) -> Option<&Path> {
-        self.checkpoint_dir.as_deref()
-    }
-
-    fn client(&self, i: usize) -> &FleetClient {
-        self.slots[i].as_ref().expect("clients are home between phases")
-    }
-
-    /// Borrow shard `i`'s client.
-    pub fn shard(&self, i: usize) -> &FleetClient {
-        self.client(i)
-    }
-
-    /// Mutably borrow shard `i`'s client.
-    pub fn shard_mut(&mut self, i: usize) -> &mut FleetClient {
-        self.slots[i].as_mut().expect("clients are home between phases")
-    }
-
-    /// Queued jobs across all shards.
-    pub fn queued_len(&self) -> usize {
-        (0..self.slots.len()).map(|i| self.client(i).scheduler().queued_len()).sum()
-    }
-
-    /// Running jobs across all shards.
-    pub fn running_len(&self) -> usize {
-        (0..self.slots.len()).map(|i| self.client(i).scheduler().running_len()).sum()
-    }
-
-    /// The shard that owns `tenant` under the current ring.
-    pub fn shard_for(&self, tenant: &str) -> usize {
-        self.ring.shard_for(tenant)
-    }
-
-    /// Route a spec to its tenant's shard and submit it there
-    /// (coordinator-side: submissions happen between phases, which is
-    /// what keeps admission — and the concurrency limiter's sheds —
-    /// deterministic at any worker count).
-    pub fn submit_spec<J: SearchJob>(
-        &mut self,
-        spec: JobSpec<J>,
-    ) -> Result<(usize, JobHandle), SubmitError> {
-        let shard = self.ring.shard_for(spec.tenant());
-        let handle = self.shard_mut(shard).submit_spec(spec)?;
-        Ok((shard, handle))
-    }
-
-    /// Submit a bare job under the default envelope (tenant
-    /// `"default"`).
-    pub fn submit<J: SearchJob>(&mut self, job: J) -> Result<(usize, JobHandle), SubmitError> {
-        self.submit_spec(JobSpec::new(job))
-    }
-
-    /// Fan one phase of up to `max_ticks` ticks out to the workers and
-    /// join every shard back. Returns per-shard outcomes.
-    fn phase(&mut self, max_ticks: u64) -> Vec<ShardPhase> {
+    /// Move `shards` out to the workers for one phase of up to
+    /// `max_ticks` ticks each, then put every client back in shard
+    /// order. Returns what each shard did.
+    fn phase(&mut self, shards: &mut Vec<FleetClient>, max_ticks: u64) -> Vec<ShardPhase> {
         debug_assert!(max_ticks > 0, "a phase must run at least one tick");
-        let shards = self.slots.len();
-        let nworkers = self.workers.len();
-        for shard in 0..shards {
-            let client = self.slots[shard].take().expect("clients are home between phases");
-            self.workers[shard % nworkers]
+        let clients = std::mem::take(shards);
+        let count = clients.len();
+        for (shard, client) in clients.into_iter().enumerate() {
+            self.workers[shard % self.workers.len()]
                 .tx
                 .send(WorkerCmd::Run { shard, client: Box::new(client), max_ticks })
                 .expect("worker command queue alive");
         }
-        let mut outcomes = vec![ShardPhase { ticks_run: 0, went_idle: false }; shards];
-        for _ in 0..shards {
-            let done = self.join_one();
-            outcomes[done.shard] =
-                ShardPhase { ticks_run: done.ticks_run, went_idle: done.went_idle };
-            self.slots[done.shard] = Some(*done.client);
-        }
+        let mut done: Vec<WorkerDone> = (0..count).map(|_| self.join_one()).collect();
+        done.sort_unstable_by_key(|d| d.shard);
+        let outcomes;
+        (*shards, outcomes) = done.into_iter().map(|d| (*d.client, d.ran)).unzip();
         outcomes
     }
 
@@ -354,176 +191,9 @@ impl ParallelFleet {
             }
         }
     }
-
-    /// Run the steal barrier when the tick count sits on the cadence —
-    /// the exact policy and code path of [`ShardedFleet`](crate::ShardedFleet).
-    fn maybe_barrier(&mut self) {
-        if self.slots.len() > 1
-            && self.cfg.steal_every_ticks > 0
-            && self.ticks.is_multiple_of(self.cfg.steal_every_ticks)
-        {
-            let mut clients: Vec<FleetClient> = self
-                .slots
-                .iter_mut()
-                .map(|s| s.take().expect("clients are home between phases"))
-                .collect();
-            self.steals += run_steal_barrier(&self.cfg, &mut clients, self.ticks);
-            for (slot, client) in self.slots.iter_mut().zip(clients) {
-                *slot = Some(client);
-            }
-        }
-    }
-
-    /// Issue the idle ticks the serial path would have run on shards
-    /// that went idle before the phase's target tick (idle ticks still
-    /// advance telemetry and autosave cadences, so they cannot be
-    /// skipped).
-    fn catch_up(&mut self, outcomes: &[ShardPhase], target: u64) {
-        for (i, o) in outcomes.iter().enumerate() {
-            let client = self.slots[i].as_mut().expect("clients are home between phases");
-            for _ in o.ticks_run..target {
-                client.tick();
-            }
-        }
-    }
-
-    /// Advance every shard one tick — concurrently across workers —
-    /// then run the steal barrier when the global tick count hits the
-    /// cadence. Returns whether any shard did work. Bit-identical to
-    /// [`ShardedFleet::tick`](crate::ShardedFleet::tick).
-    pub fn tick(&mut self) -> bool {
-        let outcomes = self.phase(1);
-        self.ticks += 1;
-        self.maybe_barrier();
-        outcomes.iter().any(|o| !o.went_idle)
-    }
-
-    /// Tick until every shard is drained, in barrier-to-barrier phases
-    /// (the fast path: workers run whole stretches of virtual time
-    /// without coordinator round-trips). Lands on exactly the tick the
-    /// serial [`ShardedFleet::run_until_idle`](crate::ShardedFleet::run_until_idle) would stop at.
-    pub fn run_until_idle(&mut self) {
-        loop {
-            let cadence = self.cfg.steal_every_ticks;
-            let k = if self.slots.len() > 1 && cadence > 0 {
-                cadence - (self.ticks % cadence)
-            } else {
-                // No barriers to respect: any chunk works, results are
-                // phase-length-independent. 64 amortizes the handoff.
-                64
-            };
-            let outcomes = self.phase(k);
-            if outcomes.iter().all(|o| o.went_idle) {
-                // Every shard went idle inside the phase: the serial
-                // loop stops at the first globally idle tick, which is
-                // the deepest first-idle tick across shards.
-                let stop = outcomes.iter().map(|o| o.ticks_run).max().unwrap_or(0);
-                self.catch_up(&outcomes, stop);
-                self.ticks += stop;
-                self.maybe_barrier();
-                if self.queued_len() == 0 && self.running_len() == 0 {
-                    return;
-                }
-            } else {
-                self.catch_up(&outcomes, k);
-                self.ticks += k;
-                self.maybe_barrier();
-            }
-        }
-    }
-
-    /// Where `handle`'s job currently is, searching every shard.
-    pub fn status(&self, handle: JobHandle) -> JobStatus {
-        for i in 0..self.slots.len() {
-            match self.client(i).status(handle) {
-                JobStatus::Unknown => continue,
-                s => return s,
-            }
-        }
-        JobStatus::Unknown
-    }
-
-    /// The finished report for `handle`, if any shard completed it.
-    pub fn report(&self, handle: JobHandle) -> Option<&JobReport> {
-        (0..self.slots.len()).find_map(|i| self.client(i).report(handle))
-    }
-
-    /// Request cancellation wherever the job lives.
-    pub fn cancel(&mut self, handle: JobHandle) -> bool {
-        (0..self.slots.len()).any(|i| {
-            self.slots[i].as_mut().expect("clients are home between phases").cancel(handle)
-        })
-    }
-
-    /// Tick until `handle`'s job reaches a terminal state, then return
-    /// its report.
-    ///
-    /// # Panics
-    /// When no shard knows the job.
-    pub fn await_report(&mut self, handle: JobHandle) -> &JobReport {
-        while matches!(self.status(handle), JobStatus::Queued | JobStatus::Running) {
-            self.tick();
-        }
-        self.report(handle).expect("await_report on a job no shard knows")
-    }
-
-    /// Every finished report across the fleet, shard-major.
-    pub fn reports(&self) -> impl Iterator<Item = &JobReport> {
-        self.slots
-            .iter()
-            .flat_map(|s| s.as_ref().expect("clients are home between phases").reports())
-    }
-
-    /// The fleet-wide summary, merged in ascending shard order with the
-    /// same rules as [`ShardedFleet::fleet_report`](crate::ShardedFleet::fleet_report) — bit-identical to
-    /// it at any worker count.
-    pub fn fleet_report(&self) -> FleetReport {
-        if self.slots.len() == 1 {
-            return self.client(0).fleet_report();
-        }
-        let reports: Vec<FleetReport> =
-            (0..self.slots.len()).map(|i| self.client(i).fleet_report()).collect();
-        merge_reports(&reports)
-    }
-
-    /// Arm per-shard delta checkpointing under `dir` — the parallel
-    /// twin of [`ShardedFleet::with_checkpoint_dir`](crate::ShardedFleet::with_checkpoint_dir).
-    pub fn with_checkpoint_dir(
-        mut self,
-        dir: impl Into<PathBuf>,
-        deltas_per_base: u64,
-    ) -> io::Result<Self> {
-        let dir = dir.into();
-        let mut checkpointers = Vec::with_capacity(self.slots.len());
-        for i in 0..self.slots.len() {
-            checkpointers.push(DeltaCheckpointer::open(shard_dir(&dir, i), deltas_per_base)?);
-        }
-        self.checkpointers = Some(checkpointers);
-        self.checkpoint_dir = Some(dir);
-        Ok(self)
-    }
-
-    /// Snapshot every shard (coordinator-side, between phases — no
-    /// worker ever holds a client while it is being serialized),
-    /// returning per-shard segment stats in shard order.
-    ///
-    /// # Panics
-    /// When checkpointing was not armed via
-    /// [`with_checkpoint_dir`](Self::with_checkpoint_dir).
-    pub fn snapshot(&mut self) -> Result<Vec<SnapshotStats>, CheckpointError> {
-        let checkpointers =
-            self.checkpointers.as_mut().expect("snapshot() requires with_checkpoint_dir()");
-        self.slots
-            .iter()
-            .zip(checkpointers)
-            .map(|(shard, ckpt)| {
-                ckpt.snapshot(shard.as_ref().expect("clients are home between phases").scheduler())
-            })
-            .collect()
-    }
 }
 
-impl Drop for ParallelFleet {
+impl Drop for Pool {
     fn drop(&mut self) {
         for worker in &self.workers {
             let _ = worker.tx.send(WorkerCmd::Shutdown);
@@ -536,6 +206,210 @@ impl Drop for ParallelFleet {
     }
 }
 
+/// A [`ShardedFleet`] whose shard ticks run on `workers` OS threads:
+/// the same facade, the same bits. Everything that is not ticking —
+/// submit, queries, reports, checkpoints — is the wrapped fleet's,
+/// reached through [`Deref`]; only [`tick`](Self::tick),
+/// [`run_until_idle`](Self::run_until_idle) and
+/// [`await_report`](Self::await_report) go through the pool. See the
+/// module docs for the protocol and why results are independent of the
+/// worker count and of OS scheduling.
+pub struct ParallelFleet {
+    fleet: ShardedFleet,
+    /// `None` when the clamped worker count is 1: ticks then run inline
+    /// and no thread is ever spawned.
+    pool: Option<Pool>,
+}
+
+impl ParallelFleet {
+    /// Build a parallel fleet of `shards` schedulers served by
+    /// `workers` threads (clamped to `1..=shards`; shard `i` is pinned
+    /// to worker `i % workers` for the fleet's lifetime). `template`
+    /// and `build_devices` behave exactly as in [`ShardedFleet::new`].
+    pub fn new(
+        cfg: ShardConfig,
+        policy: AdmissionPolicy,
+        shards: usize,
+        workers: usize,
+        template: SchedulerConfig,
+        build_devices: impl FnMut(usize) -> lnls_gpu_sim::MultiDevice,
+    ) -> Self {
+        Self::with_workers(ShardedFleet::new(cfg, policy, shards, template, build_devices), workers)
+    }
+
+    /// Reassemble a parallel fleet from already-built (typically
+    /// restored) shard clients — [`ShardedFleet::from_clients`] plus a
+    /// pool of `workers` threads.
+    pub fn from_clients(
+        cfg: ShardConfig,
+        clients: Vec<FleetClient>,
+        workers: usize,
+        ticks: u64,
+    ) -> Self {
+        Self::with_workers(ShardedFleet::from_clients(cfg, clients, ticks), workers)
+    }
+
+    /// [`ShardedFleet::restore`] plus a pool of `workers` threads.
+    /// Restoration happens entirely on the coordinator *before* any
+    /// worker exists, so a broken chain surfaces as a typed
+    /// [`CheckpointError`] naming the exact segment; it can never panic
+    /// a worker or hang a barrier.
+    pub fn restore(
+        cfg: ShardConfig,
+        policy: AdmissionPolicy,
+        dir: impl AsRef<Path>,
+        registry: &JobRegistry,
+        ticks: u64,
+        rejected: &[u64],
+        workers: usize,
+    ) -> Result<Self, CheckpointError> {
+        let fleet = ShardedFleet::restore(cfg, policy, dir, registry, ticks, rejected)?;
+        Ok(Self::with_workers(fleet, workers))
+    }
+
+    fn with_workers(fleet: ShardedFleet, workers: usize) -> Self {
+        let shards = fleet.shard_count();
+        let nworkers = workers.clamp(1, shards);
+        let pool = (nworkers > 1).then(|| Pool::spawn(shards, nworkers));
+        Self { fleet, pool }
+    }
+
+    /// Number of worker threads serving the shards (1 means ticks run
+    /// inline on the caller's thread).
+    pub fn worker_count(&self) -> usize {
+        self.pool.as_ref().map_or(1, |p| p.workers.len())
+    }
+
+    /// Number of shards.
+    pub fn shard_count(&self) -> usize {
+        self.fleet.shard_count()
+    }
+
+    /// Borrow shard `i`'s client.
+    pub fn shard(&self, i: usize) -> &FleetClient {
+        self.fleet.shard(i)
+    }
+
+    /// Mutably borrow shard `i`'s client.
+    pub fn shard_mut(&mut self, i: usize) -> &mut FleetClient {
+        self.fleet.shard_mut(i)
+    }
+
+    /// The shard that owns `tenant` under the current ring.
+    pub fn shard_for(&self, tenant: &str) -> usize {
+        self.fleet.shard_for(tenant)
+    }
+
+    /// Queued jobs across all shards.
+    pub fn queued_len(&self) -> usize {
+        self.fleet.queued_len()
+    }
+
+    /// Running jobs across all shards.
+    pub fn running_len(&self) -> usize {
+        self.fleet.running_len()
+    }
+
+    /// The fleet-wide summary, merged exactly as
+    /// [`ShardedFleet::fleet_report`] merges it.
+    pub fn fleet_report(&self) -> FleetReport {
+        self.fleet.fleet_report()
+    }
+
+    /// Snapshot every shard (coordinator-side, between phases — no
+    /// worker ever holds a client while it is being serialized); see
+    /// [`ShardedFleet::snapshot`].
+    pub fn snapshot(&mut self) -> Result<Vec<SnapshotStats>, CheckpointError> {
+        self.fleet.snapshot()
+    }
+
+    /// Arm per-shard delta checkpointing under `dir`; see
+    /// [`ShardedFleet::with_checkpoint_dir`].
+    pub fn with_checkpoint_dir(
+        self,
+        dir: impl Into<PathBuf>,
+        deltas_per_base: u64,
+    ) -> io::Result<Self> {
+        let Self { fleet, pool } = self;
+        Ok(Self { fleet: fleet.with_checkpoint_dir(dir, deltas_per_base)?, pool })
+    }
+
+    /// Advance every shard one tick — concurrently across workers —
+    /// then run the steal barrier when the global tick count hits the
+    /// cadence. Returns whether any shard did work. Bit-identical to
+    /// [`ShardedFleet::tick`], which it simply is at one worker.
+    pub fn tick(&mut self) -> bool {
+        let Some(pool) = &mut self.pool else {
+            return self.fleet.tick();
+        };
+        let outcomes = pool.phase(&mut self.fleet.shards, 1);
+        self.fleet.advance(1);
+        outcomes.iter().any(|o| !o.went_idle)
+    }
+
+    /// Tick until every shard is drained, in barrier-to-barrier phases
+    /// (workers run whole stretches of virtual time without coordinator
+    /// round-trips). Lands on exactly the tick
+    /// [`ShardedFleet::run_until_idle`] would stop at, which it simply
+    /// is at one worker.
+    pub fn run_until_idle(&mut self) {
+        let Some(pool) = &mut self.pool else {
+            return self.fleet.run_until_idle();
+        };
+        loop {
+            // Without barriers any chunk works (results are
+            // phase-length-independent); 64 amortizes the handoff.
+            let k = self.fleet.ticks_to_barrier().unwrap_or(64);
+            let outcomes = pool.phase(&mut self.fleet.shards, k);
+            // When every shard went idle inside the phase, the serial
+            // loop stops at the first globally idle tick: the deepest
+            // first-idle tick across shards.
+            let all_idle = outcomes.iter().all(|o| o.went_idle);
+            let ran =
+                if all_idle { outcomes.iter().map(|o| o.ticks_run).max().unwrap_or(0) } else { k };
+            // Catch early-idle shards up with the idle ticks the serial
+            // path would have issued: idle ticks still advance
+            // telemetry and autosave cadences, so they cannot be
+            // skipped.
+            for (client, o) in self.fleet.shards.iter_mut().zip(&outcomes) {
+                for _ in o.ticks_run..ran {
+                    client.tick();
+                }
+            }
+            self.fleet.advance(ran);
+            if all_idle && self.fleet.queued_len() == 0 && self.fleet.running_len() == 0 {
+                return;
+            }
+        }
+    }
+
+    /// Tick (through the pool) until `handle`'s job reaches a terminal
+    /// state, then return its report.
+    ///
+    /// # Panics
+    /// When no shard knows the job.
+    pub fn await_report(&mut self, handle: JobHandle) -> &JobReport {
+        while matches!(self.fleet.status(handle), JobStatus::Queued | JobStatus::Running) {
+            self.tick();
+        }
+        self.fleet.report(handle).expect("await_report on a job no shard knows")
+    }
+}
+
+impl Deref for ParallelFleet {
+    type Target = ShardedFleet;
+
+    fn deref(&self) -> &ShardedFleet {
+        &self.fleet
+    }
+}
+
+impl DerefMut for ParallelFleet {
+    fn deref_mut(&mut self) -> &mut ShardedFleet {
+        &mut self.fleet
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -543,7 +417,7 @@ mod tests {
     use lnls_gpu_sim::{DeviceSpec, MultiDevice};
     use lnls_neighborhood::{Neighborhood, TwoHamming};
     use lnls_problems::OneMax;
-    use lnls_runtime::BinaryJob;
+    use lnls_runtime::{BinaryJob, JobSpec};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -620,6 +494,16 @@ mod tests {
             assert_eq!(par.steals(), want.steals(), "{workers} workers: same steals");
             assert_eq!(par.ticks(), want.ticks(), "{workers} workers: same tick count");
         }
+    }
+
+    #[test]
+    fn one_worker_spawns_no_thread() {
+        for (shards, workers) in [(4, 1), (1, 8), (3, 0)] {
+            let fleet = parallel(shards, workers);
+            assert_eq!(fleet.worker_count(), 1, "{shards} shards, {workers} workers");
+            assert!(fleet.pool.is_none(), "{shards} shards, {workers} workers: no pool");
+        }
+        assert!(parallel(2, 2).pool.is_some(), "two workers need a pool");
     }
 
     #[test]

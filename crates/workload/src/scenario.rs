@@ -173,9 +173,9 @@ pub struct FleetProfile {
     /// pricing-only; see
     /// [`SchedulerConfig::launch_mode`](lnls_runtime::SchedulerConfig::launch_mode).
     pub launch_mode: LaunchMode,
-    /// Shards in the fleet (1 = an unsharded scheduler, byte-for-byte
-    /// the pre-sharding behavior). [`devices`](Self::devices) counts
-    /// devices *per shard*.
+    /// Shards in the fleet (one shard is bit-identical to a lone
+    /// scheduler; zero replays as one). [`devices`](Self::devices)
+    /// counts devices *per shard*.
     pub shards: usize,
     /// Shard-config version the scenario was authored (and any trace
     /// recorded) under — replay mints
@@ -183,11 +183,12 @@ pub struct FleetProfile {
     /// with this, so old traces keep old steal/ring semantics as
     /// defaults move.
     pub config_version: u32,
-    /// Worker threads driving the shards (above one the driver runs the
-    /// [`ParallelFleet`](lnls_shard::ParallelFleet) runtime). Execution
-    /// knob, **not** persisted in traces: the parallel runtime is
-    /// bit-identical to the serial path at every worker count, so the
-    /// recorded bytes must not depend on who recorded them.
+    /// Worker threads driving the shards: the driver always runs a
+    /// [`ParallelFleet`](lnls_shard::ParallelFleet), which ticks inline
+    /// at one worker and on a thread pool above one. Execution knob,
+    /// **not** persisted in traces: results are bit-identical at every
+    /// worker count, so the recorded bytes must not depend on who
+    /// recorded them.
     pub workers: usize,
     /// Per-shard in-flight bound fronting each shard's client through a
     /// [`ConcurrencyLimiter`](lnls_runtime::ConcurrencyLimiter)

@@ -1,23 +1,26 @@
 //! The sharding layer's external contracts, held through the facade:
 //!
-//! * **Degeneracy** — a 1-shard [`ShardedFleet`] driven over any catalog
-//!   scenario's trace is Debug-bit-identical to the bare scheduler path
-//!   the driver takes for unsharded profiles. Sharding must be a pure
-//!   superset, not a parallel implementation that drifts.
+//! * **Degeneracy** — the driver replays every trace on a sharded
+//!   fleet, and on one shard that must be Debug-bit-identical to a bare
+//!   [`FleetClient`] over one [`Scheduler`], crash and restore
+//!   included. The bare loop below is the reference: sharding must be a
+//!   pure superset, not a parallel implementation that drifts.
 //! * **Config versioning** — a trace recorded under config v1 replays
 //!   deterministically under v1 ring/steal semantics, and those
 //!   semantics observably differ from v2's.
-//! * **Typed chain errors** — a delta chain missing its base, missing a
-//!   middle delta, or holding a truncated segment is refused with a
+//! * **Delta chains** — a chain missing its base, missing a middle
+//!   delta, or holding a truncated segment is refused with a
 //!   [`CheckpointError`] naming the exact segment, never a panic or a
-//!   silently wrong restore.
+//!   silently wrong restore; a base-terminated chain keeps its running
+//!   jobs; and a checkpointer re-armed over an existing store restores
+//!   its own newest state, not the previous incarnation's.
 
 use lnls::core::{BitString, SearchConfig, TabuSearch};
 use lnls::neighborhood::{Neighborhood, TwoHamming};
 use lnls::prelude::{
     BinaryJob, CheckpointError, CheckpointStore, DeltaCheckpointer, DeviceSpec, Driver,
-    FleetReport, HashRing, JobRegistry, MultiDevice, OneMax, Scenario, Scheduler, SchedulerConfig,
-    ShardConfig, ShardedFleet, SnapshotKind, Trace,
+    FleetCheckpoint, FleetClient, HashRing, JobRegistry, MultiDevice, OneMax, Scenario, Scheduler,
+    SchedulerConfig, ShardConfig, SnapshotKind, Trace, WorkloadReport,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -25,14 +28,13 @@ use rand::SeedableRng;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Run a lowered trace through a **1-shard** `ShardedFleet` with the
-/// exact loop shape the driver uses, returning the fleet report. The
-/// driver itself routes 1-shard profiles down the bare path, so this
-/// hand loop is the only way to pit the sharded machinery against it.
-fn run_on_one_shard(trace: &Trace) -> FleetReport {
-    let cfg = ShardConfig::for_version(trace.fleet.config_version).expect("catalog version");
+/// Replay a trace on one bare [`FleetClient`] over one [`Scheduler`]:
+/// no shards, no ring, no barrier. The same delivery, tick and crash
+/// rules the driver applies, restated for a single scheduler.
+fn replay_bare(trace: &Trace) -> WorkloadReport {
+    let registry = JobRegistry::with_builtin();
     let spec = DeviceSpec::gtx280().with_engines(trace.fleet.engines);
-    let template = SchedulerConfig {
+    let config = SchedulerConfig {
         cpu_workers: trace.fleet.cpu_workers,
         max_batch: trace.fleet.max_batch,
         quantum_iters: trace.fleet.quantum_iters,
@@ -43,49 +45,86 @@ fn run_on_one_shard(trace: &Trace) -> FleetReport {
         launch_mode: trace.fleet.launch_mode,
         ..Default::default()
     };
-    let mut fleet = ShardedFleet::new(cfg, trace.admission.clone(), 1, template, move |_| {
-        MultiDevice::new_uniform(trace.fleet.devices, spec.clone())
-    });
+    let scheduler = Scheduler::new(MultiDevice::new_uniform(trace.fleet.devices, spec), config);
+    let mut client = FleetClient::new(scheduler, trace.admission.clone());
+    client.set_inflight_limit(trace.fleet.max_inflight);
     let mut next = 0usize;
+    let (mut admitted, mut bounced, mut crashes, mut ticks) = (0u64, 0u64, 0u64, 0u64);
     loop {
         while let Some(arrival) = trace.arrivals.get(next) {
-            let target = fleet.shard_for(&arrival.tenant);
-            let due = arrival.at_s <= fleet.shard(target).scheduler().now_s()
-                || (fleet.queued_len() == 0 && fleet.running_len() == 0);
+            let scheduler = client.scheduler();
+            let due = match arrival.at_tick {
+                Some(t) => ticks >= t,
+                None => {
+                    arrival.at_s <= scheduler.now_s()
+                        || (scheduler.queued_len() == 0 && scheduler.running_len() == 0)
+                }
+            };
             if !due {
                 break;
             }
-            let _ = arrival.submit(fleet.shard_mut(target));
+            match arrival.submit(&mut client) {
+                Ok(_) => admitted += 1,
+                Err(_) => bounced += 1,
+            }
             next += 1;
         }
-        let progressed = fleet.tick();
+        let progressed = client.tick();
+        ticks += 1;
+        if trace.crash_at_tick == Some(ticks) {
+            let bytes = client.checkpoint().to_bytes();
+            drop(client);
+            let revived =
+                FleetCheckpoint::from_bytes(&bytes, &registry).expect("checkpoint decodes");
+            client =
+                FleetClient::resume(Scheduler::restore(revived), trace.admission.clone(), bounced);
+            client.set_inflight_limit(trace.fleet.max_inflight);
+            crashes += 1;
+        }
         if !progressed && next >= trace.arrivals.len() {
             break;
         }
     }
-    fleet.fleet_report()
+    WorkloadReport {
+        scenario: trace.scenario.clone(),
+        seed: trace.seed,
+        submitted: trace.arrivals.len() as u64,
+        admitted,
+        bounced,
+        crashes,
+        ticks,
+        fleet: client.fleet_report(),
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// For every catalog scenario and any seed, a 1-shard sharded fleet
-    /// produces the same `FleetReport` — bit for bit, every f64 through
-    /// its exact Debug rendering — as the driver's bare scheduler path.
+    /// For every catalog scenario and any seed, the driver's 1-shard
+    /// sharded fleet produces the same `FleetReport` — bit for bit,
+    /// every f64 through its exact Debug rendering — and the same
+    /// driver counters as a bare scheduler replaying the same trace.
+    /// The catalog's crash stressor runs through the crash on both.
     #[test]
     fn one_shard_fleet_is_bit_identical_to_the_bare_path(
         scenario_idx in 0usize..9,
         seed in 0u64..500,
     ) {
         let mut scenario = Scenario::catalog()[scenario_idx].clone();
-        scenario.fleet.shards = 1; // force the driver down the bare path
-        scenario.crash_at_tick = None; // the hand loop has no crash machinery
-        let (trace, bare) = Driver::record(&scenario, seed);
-        let sharded = run_on_one_shard(&trace);
+        scenario.fleet.shards = 1;
+        let (trace, sharded) = Driver::record(&scenario, seed);
+        let bare = replay_bare(&trace);
         prop_assert_eq!(
-            format!("{:?}", sharded),
+            format!("{:?}", sharded.fleet),
             format!("{:?}", bare.fleet),
             "scenario '{}' seed {}: one shard must be a bare scheduler, bit for bit",
+            scenario.name,
+            seed
+        );
+        prop_assert_eq!(
+            (sharded.ticks, sharded.admitted, sharded.bounced, sharded.crashes),
+            (bare.ticks, bare.admitted, bare.bounced, bare.crashes),
+            "scenario '{}' seed {}: same driver counters",
             scenario.name,
             seed
         );
@@ -280,6 +319,53 @@ fn a_base_terminated_chain_keeps_running_jobs() {
         format!("{:?}", restored.fleet_report()),
         format!("{:?}", fleet.fleet_report()),
         "the restored run must finish on the original run's bits"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Re-arming a [`DeltaCheckpointer`] over a store that already holds a
+/// previous incarnation's longer chain (crash, restore, resume
+/// snapshotting into the same directory) must leave the store
+/// restoring the *newest* state, not the stale longer chain.
+#[test]
+fn rearming_over_an_existing_store_restores_the_newest_state() {
+    let dir = chain_dir("rearm");
+    let mut sched = Scheduler::with_uniform_fleet(
+        1,
+        DeviceSpec::gtx280(),
+        SchedulerConfig { quantum_iters: Some(4), ..Default::default() },
+    );
+    for i in 0..6 {
+        sched.submit(onemax_job(&format!("rearm-{i}"), i));
+    }
+    // First incarnation: a base and four deltas.
+    let mut first = DeltaCheckpointer::open(&dir, 8).expect("store opens");
+    for _ in 0..5 {
+        sched.tick();
+        first.snapshot(&sched).expect("snapshot writes");
+    }
+    drop(first);
+
+    // Crash, restore, and re-arm over the same store; write fewer
+    // segments than the first incarnation did.
+    let registry = JobRegistry::with_builtin();
+    let store = CheckpointStore::open(&dir).expect("store opens");
+    let mut revived = Scheduler::restore(store.load_latest(&registry).expect("chain loads"));
+    let mut second = DeltaCheckpointer::open(&dir, 8).expect("store reopens");
+    for _ in 0..2 {
+        revived.tick();
+        second.snapshot(&revived).expect("snapshot writes");
+    }
+    drop(second);
+
+    let loaded = CheckpointStore::open(&dir)
+        .expect("store opens")
+        .load_latest(&registry)
+        .expect("the re-armed chain loads");
+    assert_eq!(
+        loaded.ticks(),
+        revived.checkpoint().ticks(),
+        "a re-armed store must restore its newest state, not the stale chain"
     );
     let _ = fs::remove_dir_all(&dir);
 }

@@ -67,7 +67,6 @@ pub mod explore;
 pub mod gvns;
 pub mod hillclimb;
 pub mod ils;
-pub mod multistart;
 pub mod peo;
 pub mod persist;
 pub mod problem;
@@ -84,7 +83,6 @@ pub use explore::{Explorer, ParallelCpuExplorer, SequentialExplorer};
 pub use gvns::GeneralVns;
 pub use hillclimb::{descend_in_place, HillClimbing, Pivot};
 pub use ils::IteratedLocalSearch;
-pub use multistart::MultiStart;
 pub use persist::{Persist, PersistError, PersistTag, Reader};
 pub use problem::{BinaryProblem, IncrementalEval};
 pub use report::{fmt_seconds, TableRow};

@@ -219,44 +219,7 @@ impl ShardedFleet {
         let on_cadence = left == Some(ticks);
         self.ticks += ticks;
         if on_cadence {
-            self.steal_barrier();
-        }
-    }
-
-    /// One steal barrier at the current tick (see the type docs for
-    /// the policy).
-    fn steal_barrier(&mut self) {
-        let shards = &mut self.shards;
-        let mut budget = self.cfg.steal_max_per_barrier;
-        let takers: Vec<usize> =
-            (0..shards.len()).filter(|&i| shards[i].scheduler().queued_len() == 0).collect();
-        for taker in takers {
-            if budget == 0 {
-                break;
-            }
-            // Deepest queue wins; ties rotate by seeded hash, then
-            // fall to the smaller index. `(depth, !hash, !idx)` max =
-            // (max depth, min hash, min idx).
-            let donor = (0..shards.len())
-                .filter(|&i| i != taker && shards[i].scheduler().queued_len() >= 2)
-                .max_by_key(|&i| {
-                    let depth = shards[i].scheduler().queued_len();
-                    let mut key = [0u8; 24];
-                    key[..8].copy_from_slice(&self.cfg.steal_seed.to_le_bytes());
-                    key[8..16].copy_from_slice(&self.ticks.to_le_bytes());
-                    key[16..].copy_from_slice(&(i as u64).to_le_bytes());
-                    (depth, !fnv1a(&key), !(i as u64))
-                });
-            let Some(donor) = donor else { break };
-            let id = shards[donor]
-                .scheduler()
-                .newest_queued()
-                .expect("donor has at least two queued jobs");
-            let stolen =
-                shards[donor].donate_queued(id).expect("newest_queued returned a queued id");
-            shards[taker].adopt(stolen);
-            self.steals += 1;
-            budget -= 1;
+            self.steals += run_steal_barrier(&self.cfg, &mut self.shards, self.ticks);
         }
     }
 
@@ -395,6 +358,45 @@ impl ShardedFleet {
 
 fn shard_dir(dir: &Path, i: usize) -> PathBuf {
     dir.join(format!("shard-{i:03}"))
+}
+
+/// One steal barrier over `shards` at global tick `ticks` (see the
+/// [`ShardedFleet`] type docs for the policy). Returns how many jobs
+/// moved.
+fn run_steal_barrier(cfg: &ShardConfig, shards: &mut [FleetClient], ticks: u64) -> u64 {
+    let mut budget = cfg.steal_max_per_barrier;
+    let mut steals = 0;
+    if budget == 0 {
+        return steals;
+    }
+    let takers: Vec<usize> =
+        (0..shards.len()).filter(|&i| shards[i].scheduler().queued_len() == 0).collect();
+    for taker in takers {
+        if budget == 0 {
+            break;
+        }
+        // Deepest queue wins; ties rotate by seeded hash, then
+        // fall to the smaller index. `(depth, !hash, !idx)` max =
+        // (max depth, min hash, min idx).
+        let donor = (0..shards.len())
+            .filter(|&i| i != taker && shards[i].scheduler().queued_len() >= 2)
+            .max_by_key(|&i| {
+                let depth = shards[i].scheduler().queued_len();
+                let mut key = [0u8; 24];
+                key[..8].copy_from_slice(&cfg.steal_seed.to_le_bytes());
+                key[8..16].copy_from_slice(&ticks.to_le_bytes());
+                key[16..].copy_from_slice(&(i as u64).to_le_bytes());
+                (depth, !fnv1a(&key), !(i as u64))
+            });
+        let Some(donor) = donor else { break };
+        let id =
+            shards[donor].scheduler().newest_queued().expect("donor has at least two queued jobs");
+        let stolen = shards[donor].donate_queued(id).expect("newest_queued returned a queued id");
+        shards[taker].adopt(stolen);
+        steals += 1;
+        budget -= 1;
+    }
+    steals
 }
 
 /// Merge per-shard reports into one fleet-wide report (see

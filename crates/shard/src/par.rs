@@ -280,6 +280,12 @@ impl ParallelFleet {
         self.pool.as_ref().map_or(1, |p| p.workers.len())
     }
 
+    // The forwards from here to `with_checkpoint_dir` repeat what
+    // `Deref` already reaches, on purpose: inherent methods win over a
+    // same-named trait method a caller implements for this type (the
+    // benchmark's `Fleet` trait does), so such a trait can forward to
+    // them without calling itself.
+
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.fleet.shard_count()

@@ -47,6 +47,7 @@
 //! fused runs are priced with one consistent model.
 
 use crate::bitstring::BitString;
+use crate::explore::fill_fitness;
 use crate::problem::IncrementalEval;
 use lnls_gpu_sim::{
     argmin_kernel_seconds, price_fused_iteration, price_fused_span, transfer_seconds, DeviceSpec,
@@ -260,17 +261,8 @@ impl<N: Neighborhood> BatchedExplorer<N> {
         let mut argmin_keys = 0u64;
         let mut io = Vec::with_capacity(lanes.len());
         for lane in lanes.iter_mut() {
-            lane.out.clear();
-            lane.out.reserve(m as usize);
-            let problem = lane.problem;
-            let s = lane.s;
-            let state = &mut *lane.state;
-            let out = &mut *lane.out;
-            self.hood.for_each_move_in(0, m, &mut |_, mv| {
-                out.push(problem.neighbor_fitness(state, s, &mv));
-                true
-            });
-            debug_assert_eq!(out.len(), m as usize);
+            lane.out.resize(m as usize, 0);
+            fill_fitness(&self.hood, lane.problem, lane.s, lane.state, 0, lane.out);
             // A one-key reduction cannot shrink the readback it gates
             // on, so degenerate neighborhoods stay on the host path.
             let device_argmin = lane.selection.is_device() && m > 1;

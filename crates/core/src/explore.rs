@@ -19,7 +19,7 @@
 use crate::bitstring::BitString;
 use crate::problem::IncrementalEval;
 use lnls_gpu_sim::TimeBook;
-use lnls_neighborhood::{FlipMove, Neighborhood};
+use lnls_neighborhood::{FlipMove, Neighborhood, RowWalk};
 use std::time::{Duration, Instant};
 
 /// A backend able to evaluate every neighbor of the current solution.
@@ -40,37 +40,11 @@ pub trait Explorer<P: IncrementalEval>: Send {
 
     /// Visit the moves with indices in `lo..hi` (clamped to
     /// [`size`](Self::size)) in index order; stop early when the
-    /// callback returns `false`. Drivers use this for their selection
-    /// passes, so it must agree index-for-index with the fitness vector
-    /// [`explore`](Self::explore) fills.
-    ///
-    /// The default assumes fixed-`k` lexicographic enumeration (one
-    /// unranking at `lo`, then [`lex_advance`](lnls_neighborhood::lex_advance)); explorers wrapping a
-    /// [`Neighborhood`] should delegate to
+    /// callback returns `false`. It must agree index-for-index with the
+    /// fitness vector [`explore`](Self::explore) fills; explorers
+    /// wrapping a [`Neighborhood`] delegate to
     /// [`Neighborhood::for_each_move_in`] so mixed-radius unions work.
-    fn for_each_move(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, FlipMove) -> bool) {
-        let hi = hi.min(self.size());
-        if lo >= hi {
-            return;
-        }
-        let first = self.unrank(lo);
-        let k = first.k();
-        let mut bits = [0u32; 4];
-        bits[..k].copy_from_slice(first.bits());
-        for idx in lo..hi {
-            let mv = FlipMove::from_sorted(&bits[..k]);
-            if !f(idx, mv) {
-                return;
-            }
-            if idx + 1 < hi {
-                lnls_neighborhood::lex_advance(&mut bits[..k], self.dim_hint());
-            }
-        }
-    }
-
-    /// Dimension `n` of the underlying binary strings — needed by the
-    /// default [`for_each_move`](Self::for_each_move) enumeration.
-    fn dim_hint(&self) -> u32;
+    fn for_each_move(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, FlipMove) -> bool);
 
     /// Evaluate the full neighborhood of `s` into `out` (resized to
     /// [`size`](Self::size)).
@@ -92,6 +66,65 @@ pub trait Explorer<P: IncrementalEval>: Send {
 
     /// Backend name for reports.
     fn backend(&self) -> String;
+}
+
+/// Fill `out[i]` with the fitness of the neighbor of `s` at flat move
+/// index `lo + i`, for every slot of `out` — the paper's `new_fitness`
+/// array over one contiguous index range.
+///
+/// The one evaluation loop shared by the host explorers and
+/// [`BatchedExplorer`](crate::batch::BatchedExplorer). The range is
+/// walked row by row ([`Neighborhood::for_each_row_walk`]); each walk
+/// dispatches once on its `k` to a loop monomorphic in that `k`, which
+/// builds every move in place ([`FlipMove::from_array`]) and writes one
+/// slot per move.
+///
+/// # Panics
+/// Panics if `lo + out.len()` runs past the end of the neighborhood.
+pub fn fill_fitness<P, N>(
+    hood: &N,
+    problem: &P,
+    s: &BitString,
+    state: &mut P::State,
+    lo: u64,
+    out: &mut [i64],
+) where
+    P: IncrementalEval,
+    N: Neighborhood + ?Sized,
+{
+    let mut rest = out;
+    hood.for_each_row_walk(lo, lo + rest.len() as u64, &mut |walk| {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(walk.move_count() as usize);
+        rest = tail;
+        match walk.k() {
+            1 => fill_walk::<P, 1>(problem, s, state, walk, head),
+            2 => fill_walk::<P, 2>(problem, s, state, walk, head),
+            3 => fill_walk::<P, 3>(problem, s, state, walk, head),
+            4 => fill_walk::<P, 4>(problem, s, state, walk, head),
+            k => unreachable!("moves flip at most 4 bits, got k={k}"),
+        }
+    });
+    assert!(rest.is_empty(), "fitness slots run past the end of the neighborhood");
+}
+
+/// [`fill_fitness`]'s inner loop for one walk of `K`-bit moves.
+#[inline]
+fn fill_walk<P: IncrementalEval, const K: usize>(
+    problem: &P,
+    s: &BitString,
+    state: &mut P::State,
+    walk: RowWalk,
+    mut out: &mut [i64],
+) {
+    for row in walk {
+        let (dst, tail) = std::mem::take(&mut out).split_at_mut(row.last.len());
+        out = tail;
+        let mut idx = row.prefix;
+        for (slot, b) in dst.iter_mut().zip(row.last) {
+            idx[K - 1] = b;
+            *slot = problem.neighbor_fitness(state, s, &FlipMove::from_array(idx, K));
+        }
+    }
 }
 
 /// Single-threaded exploration in lexicographic move order.
@@ -120,24 +153,14 @@ impl<P: IncrementalEval, N: Neighborhood> Explorer<P> for SequentialExplorer<N> 
         self.hood.unrank(index)
     }
 
-    fn dim_hint(&self) -> u32 {
-        self.hood.dim() as u32
-    }
-
     fn for_each_move(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, FlipMove) -> bool) {
         self.hood.for_each_move_in(lo, hi, f);
     }
 
     fn explore(&mut self, problem: &P, s: &BitString, state: &mut P::State, out: &mut Vec<i64>) {
         let t0 = Instant::now();
-        let m = self.hood.size() as usize;
-        out.clear();
-        out.reserve(m);
-        self.hood.for_each_move_in(0, m as u64, &mut |_, mv| {
-            out.push(problem.neighbor_fitness(state, s, &mv));
-            true
-        });
-        debug_assert_eq!(out.len(), m);
+        out.resize(self.hood.size() as usize, 0);
+        fill_fitness(&self.hood, problem, s, state, 0, out);
         self.wall += t0.elapsed();
     }
 
@@ -183,10 +206,6 @@ impl<P: IncrementalEval, N: Neighborhood> Explorer<P> for ParallelCpuExplorer<N>
         self.hood.unrank(index)
     }
 
-    fn dim_hint(&self) -> u32 {
-        self.hood.dim() as u32
-    }
-
     fn for_each_move(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, FlipMove) -> bool) {
         self.hood.for_each_move_in(lo, hi, f);
     }
@@ -194,17 +213,11 @@ impl<P: IncrementalEval, N: Neighborhood> Explorer<P> for ParallelCpuExplorer<N>
     fn explore(&mut self, problem: &P, s: &BitString, state: &mut P::State, out: &mut Vec<i64>) {
         let t0 = Instant::now();
         let m = self.hood.size() as usize;
-        out.clear();
         out.resize(m, 0);
         let workers = self.workers.min(m.max(1));
         if workers <= 1 || m < 1024 {
             // Too small to amortize thread spawn.
-            let mut i = 0;
-            self.hood.for_each_move_in(0, m as u64, &mut |_, mv| {
-                out[i] = problem.neighbor_fitness(state, s, &mv);
-                i += 1;
-                true
-            });
+            fill_fitness(&self.hood, problem, s, state, 0, out);
             self.wall += t0.elapsed();
             return;
         }
@@ -214,14 +227,7 @@ impl<P: IncrementalEval, N: Neighborhood> Explorer<P> for ParallelCpuExplorer<N>
             for (w, slice) in out.chunks_mut(chunk).enumerate() {
                 let lo = (w * chunk) as u64;
                 let mut local_state = state.clone();
-                scope.spawn(move || {
-                    let mut i = 0usize;
-                    hood.for_each_move_in(lo, lo + slice.len() as u64, &mut |_, mv| {
-                        slice[i] = problem.neighbor_fitness(&mut local_state, s, &mv);
-                        i += 1;
-                        true
-                    });
-                });
+                scope.spawn(move || fill_fitness(hood, problem, s, &mut local_state, lo, slice));
             }
         });
         self.wall += t0.elapsed();

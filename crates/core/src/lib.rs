@@ -79,7 +79,7 @@ pub use anneal::{AnnealCursor, SimulatedAnnealing};
 pub use batch::{BatchLane, BatchedExplorer, LaneProfile, SpanPricing};
 pub use bitstring::{zobrist_table, BitString};
 pub use cursor::{DynCursor, ProblemCursor, SearchCursor};
-pub use explore::{Explorer, ParallelCpuExplorer, SequentialExplorer};
+pub use explore::{fill_fitness, Explorer, ParallelCpuExplorer, SequentialExplorer};
 pub use gvns::GeneralVns;
 pub use hillclimb::{descend_in_place, HillClimbing, Pivot};
 pub use ils::IteratedLocalSearch;

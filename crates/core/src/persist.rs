@@ -593,12 +593,11 @@ impl Persist for SearchResult {
 // -- neighborhoods ----------------------------------------------------
 
 /// Constructors assert their invariants; decoding must not panic on
-/// corrupt input, so re-check them here and surface a [`PersistError`].
-fn check_hood_dims(n: usize, k: usize) -> Result<(), PersistError> {
-    if k == 0 || k > 4 || k > n {
-        return Err(PersistError::new(format!("invalid neighborhood shape n={n}, k={k}")));
-    }
-    Ok(())
+/// corrupt input, so re-check them here (radius, `k <= n`, and a size
+/// `C(n, k)` that fits `u64`) and surface a [`PersistError`].
+fn hood_shape(n: usize, k: usize) -> Result<KHamming, PersistError> {
+    KHamming::try_new(n, k)
+        .ok_or_else(|| PersistError::new(format!("invalid neighborhood shape n={n}, k={k}")))
 }
 
 impl Persist for OneHamming {
@@ -607,7 +606,7 @@ impl Persist for OneHamming {
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let n = usize::read(r)?;
-        check_hood_dims(n, 1)?;
+        hood_shape(n, 1)?;
         Ok(OneHamming::new(n))
     }
 }
@@ -622,7 +621,7 @@ impl Persist for TwoHamming {
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let n = usize::read(r)?;
-        check_hood_dims(n, 2)?;
+        hood_shape(n, 2)?;
         Ok(TwoHamming::new(n))
     }
 }
@@ -637,7 +636,7 @@ impl Persist for ThreeHamming {
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let n = usize::read(r)?;
-        check_hood_dims(n, 3)?;
+        hood_shape(n, 3)?;
         Ok(ThreeHamming::new(n))
     }
 }
@@ -654,8 +653,7 @@ impl Persist for KHamming {
     fn read(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let n = usize::read(r)?;
         let k = usize::read(r)?;
-        check_hood_dims(n, k)?;
-        Ok(KHamming::new(n, k))
+        hood_shape(n, k)
     }
 }
 
@@ -755,6 +753,17 @@ mod tests {
         roundtrip_hood(TwoHamming::new(12));
         roundtrip_hood(ThreeHamming::new(12));
         roundtrip_hood(KHamming::new(12, 2));
+    }
+
+    #[test]
+    fn oversized_hoods_decode_to_errors() {
+        // C(2^40, 4) overflows u64: a corrupt shape, not a panic.
+        let mut bytes = Vec::new();
+        (1usize << 40).write(&mut bytes);
+        4usize.write(&mut bytes);
+        assert!(Reader::new(&bytes).read::<KHamming>().is_err());
+        let bytes = (1usize << 40).to_bytes();
+        assert!(Reader::new(&bytes).read::<ThreeHamming>().is_err());
     }
 
     fn roundtrip_hood<N: Persist + Neighborhood>(hood: N) {

@@ -171,10 +171,6 @@ impl TabuSearch {
     }
 }
 
-/// Borrowed enumerator handing `(flat index, move)` pairs to a visitor
-/// in index order — how the selection pass walks a fitness vector.
-type EnumerateMoves<'a> = &'a dyn Fn(&mut dyn FnMut(u64, FlipMove) -> bool);
-
 /// The loop-carried state of one tabu-search walk, stepped externally.
 ///
 /// Produced by [`TabuSearch::cursor`]. One [`step`](Self::step) performs
@@ -277,12 +273,7 @@ impl<P: IncrementalEval> TabuCursor<P> {
         self.evals += m;
         self.iterations += 1;
         let iter = self.iterations - 1;
-        self.select_commit_inner(
-            problem,
-            &|f| explorer.for_each_move(0, out.len() as u64, f),
-            &out,
-            iter,
-        );
+        self.select_commit_inner(problem, |i| explorer.unrank(i), &out, iter);
         self.out_scratch = out;
         if let Some(mv) = self.last_move() {
             explorer.committed(problem, &self.s, &self.state, &mv);
@@ -307,12 +298,7 @@ impl<P: IncrementalEval> TabuCursor<P> {
         self.evals += out.len() as u64;
         self.iterations += 1;
         let iter = self.iterations - 1;
-        self.select_commit_inner(
-            problem,
-            &|f| hood.for_each_move_in(0, out.len() as u64, f),
-            out,
-            iter,
-        );
+        self.select_commit_inner(problem, |i| hood.unrank(i), out, iter);
         true
     }
 
@@ -324,46 +310,11 @@ impl<P: IncrementalEval> TabuCursor<P> {
     fn select_commit_inner(
         &mut self,
         problem: &P,
-        enumerate: EnumerateMoves<'_>,
+        unrank: impl Fn(u64) -> FlipMove,
         out: &[i64],
         iter: u64,
     ) {
-        // Selection pass: best admissible move (ties → lowest index),
-        // falling back to the best move overall if everything is tabu.
-        // Moves are enumerated through the caller so mixed-radius
-        // neighborhoods (`UnionHamming`) stay index-aligned with `out`.
-        let mut best_adm: Option<(i64, u64, FlipMove)> = None;
-        let mut best_any: Option<(i64, u64, FlipMove)> = None;
-        enumerate(&mut |idx, mv| {
-            let f = out[idx as usize];
-            if best_any.is_none() || f < best_any.as_ref().unwrap().0 {
-                best_any = Some((f, idx, mv));
-            }
-            if best_adm.as_ref().is_some_and(|(bf, _, _)| f >= *bf) {
-                return true; // not better than current admissible best
-            }
-            let tabu = match self.search.strategy {
-                TabuStrategy::SolutionRing { .. } => {
-                    let mut h = self.cur_hash;
-                    for &b in mv.bits() {
-                        h ^= self.ztable[b as usize];
-                    }
-                    self.ring_set.contains_key(&h)
-                }
-                TabuStrategy::MoveRing { .. } => self.mring_set.contains_key(&idx),
-                TabuStrategy::Attribute { tenure } => mv.bits().iter().any(|&b| {
-                    let lf = self.last_flip[b as usize];
-                    lf != u64::MAX && iter.saturating_sub(lf) < tenure
-                }),
-            };
-            let admissible = !tabu || (self.search.aspiration && f < self.best_fitness);
-            if admissible {
-                best_adm = Some((f, idx, mv));
-            }
-            true
-        });
-
-        let (f, chosen_idx, mv) = best_adm.or(best_any).expect("non-empty neighborhood");
+        let (f, chosen_idx, mv) = self.select(&unrank, out, iter);
 
         // Commit the move.
         problem.apply_move(&mut self.state, &self.s, &mv);
@@ -416,6 +367,57 @@ impl<P: IncrementalEval> TabuCursor<P> {
         }
         if let Some(t) = self.trajectory.as_mut() {
             t.push(self.cur_fitness);
+        }
+    }
+
+    /// Selection pass: one flat scan over the fitness vector `out`,
+    /// returning `(fitness, index, move)` of the lowest-index strict
+    /// minimum among admissible moves, or of the lowest-index strict
+    /// minimum overall when every move is tabu. Tabu status is checked
+    /// only for a candidate that beats the admissible best so far: a
+    /// move ring checks the index alone, the other memories decode the
+    /// move through `unrank`, as does the final choice.
+    fn select(
+        &self,
+        unrank: &impl Fn(u64) -> FlipMove,
+        out: &[i64],
+        iter: u64,
+    ) -> (i64, u64, FlipMove) {
+        assert!(!out.is_empty(), "non-empty neighborhood");
+        let (mut any_f, mut any_i) = (out[0], 0usize);
+        let mut adm: Option<(i64, usize)> = None;
+        for (i, &f) in out.iter().enumerate() {
+            if f < any_f {
+                (any_f, any_i) = (f, i);
+            }
+            if adm.is_some_and(|(adm_f, _)| f >= adm_f) {
+                continue;
+            }
+            let aspires = self.search.aspiration && f < self.best_fitness;
+            if aspires || !self.is_tabu(i as u64, unrank, iter) {
+                adm = Some((f, i));
+            }
+        }
+        let (f, i) = adm.unwrap_or((any_f, any_i));
+        (f, i as u64, unrank(i as u64))
+    }
+
+    /// Whether the move at flat index `idx` is forbidden by the
+    /// short-term memory at iteration `iter`.
+    fn is_tabu(&self, idx: u64, unrank: &impl Fn(u64) -> FlipMove, iter: u64) -> bool {
+        match self.search.strategy {
+            TabuStrategy::MoveRing { .. } => self.mring_set.contains_key(&idx),
+            TabuStrategy::SolutionRing { .. } => {
+                let h = unrank(idx)
+                    .bits()
+                    .iter()
+                    .fold(self.cur_hash, |h, &b| h ^ self.ztable[b as usize]);
+                self.ring_set.contains_key(&h)
+            }
+            TabuStrategy::Attribute { tenure } => unrank(idx).bits().iter().any(|&b| {
+                let lf = self.last_flip[b as usize];
+                lf != u64::MAX && iter.saturating_sub(lf) < tenure
+            }),
         }
     }
 
@@ -835,6 +837,128 @@ mod tests {
         cursor.persist(&mut bytes);
         let wrong = ZeroCount { n: 20 };
         assert!(TabuCursor::read_persisted(&mut Reader::new(&bytes), &wrong).is_err());
+    }
+
+    /// The selection rule as it stood before the flat scan, kept as the
+    /// reference: enumerate every `(index, move)` pair in order and keep
+    /// the best admissible move, falling back to the best move overall.
+    fn reference_select<P: IncrementalEval>(
+        c: &TabuCursor<P>,
+        hood: &impl Neighborhood,
+        out: &[i64],
+        iter: u64,
+    ) -> (i64, u64, FlipMove) {
+        let mut best_adm: Option<(i64, u64, FlipMove)> = None;
+        let mut best_any: Option<(i64, u64, FlipMove)> = None;
+        hood.for_each_move_in(0, out.len() as u64, &mut |idx, mv| {
+            let f = out[idx as usize];
+            if best_any.is_none() || f < best_any.as_ref().unwrap().0 {
+                best_any = Some((f, idx, mv));
+            }
+            if best_adm.as_ref().is_some_and(|(bf, _, _)| f >= *bf) {
+                return true;
+            }
+            let tabu = match c.search.strategy {
+                TabuStrategy::SolutionRing { .. } => {
+                    let mut h = c.cur_hash;
+                    for &b in mv.bits() {
+                        h ^= c.ztable[b as usize];
+                    }
+                    c.ring_set.contains_key(&h)
+                }
+                TabuStrategy::MoveRing { .. } => c.mring_set.contains_key(&idx),
+                TabuStrategy::Attribute { tenure } => mv.bits().iter().any(|&b| {
+                    let lf = c.last_flip[b as usize];
+                    lf != u64::MAX && iter.saturating_sub(lf) < tenure
+                }),
+            };
+            if !tabu || (c.search.aspiration && f < c.best_fitness) {
+                best_adm = Some((f, idx, mv));
+            }
+            true
+        });
+        best_adm.or(best_any).expect("non-empty neighborhood")
+    }
+
+    /// Mark every move of `hood` tabu under the cursor's strategy.
+    fn forbid_everything<P: IncrementalEval>(c: &mut TabuCursor<P>, hood: &impl Neighborhood) {
+        for idx in 0..hood.size() {
+            let mv = hood.unrank(idx);
+            *c.mring_set.entry(idx).or_insert(0) += 1;
+            let h = mv.bits().iter().fold(c.cur_hash, |h, &b| h ^ c.ztable[b as usize]);
+            *c.ring_set.entry(h).or_insert(0) += 1;
+            for &b in mv.bits() {
+                c.last_flip[b as usize] = c.iterations;
+            }
+        }
+    }
+
+    #[test]
+    fn flat_scan_selects_what_the_enumerating_scan_selected() {
+        use lnls_neighborhood::UnionHamming;
+        use rand::Rng;
+
+        let n = 9;
+        let p = ZeroCount { n };
+        let hood = UnionHamming::new(n, &[1, 2, 3]);
+        let m = hood.size() as usize;
+        let strategies = [
+            TabuStrategy::SolutionRing { len: 6 },
+            TabuStrategy::MoveRing { len: 6 },
+            TabuStrategy::Attribute { tenure: 3 },
+        ];
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut checked = 0;
+        for strategy in strategies {
+            for aspiration in [false, true] {
+                for all_tabu in [false, true] {
+                    let search = TabuSearch {
+                        config: SearchConfig::budget(1000).with_seed(5),
+                        strategy: strategy.clone(),
+                        aspiration,
+                        keep_history: false,
+                    };
+                    let mut c = search.cursor(&p, BitString::random(&mut rng, n));
+                    let mut ex = SequentialExplorer::new(hood.clone());
+                    for _ in 0..4 {
+                        c.step(&p, &mut ex);
+                    }
+                    if all_tabu {
+                        forbid_everything(&mut c, &hood);
+                    }
+                    for trial in 0..40 {
+                        let (best, iter) = (c.best_fitness, c.iterations);
+                        let out: Vec<i64> = (0..m)
+                            .map(|i| match trial % 3 {
+                                // Few distinct values force ties; the
+                                // spread around the best fitness so far
+                                // exercises aspiration both ways.
+                                0 => best - 1 + rng.gen_range(0..3i64),
+                                1 => best - 20 + rng.gen_range(0..40i64),
+                                // Tabu moves tie the best so far and the
+                                // rest sit above it: only a strict
+                                // aspiration test keeps them tabu.
+                                _ => {
+                                    best + i64::from(!c.is_tabu(
+                                        i as u64,
+                                        &|j| hood.unrank(j),
+                                        iter,
+                                    ))
+                                }
+                            })
+                            .collect();
+                        let want = reference_select(&c, &hood, &out, iter);
+                        let got = c.select(&|i| hood.unrank(i), &out, iter);
+                        assert_eq!(
+                            got, want,
+                            "{strategy:?} aspiration={aspiration} all_tabu={all_tabu}"
+                        );
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 3 * 2 * 2 * 40);
     }
 
     #[test]

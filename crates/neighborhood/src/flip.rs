@@ -11,9 +11,10 @@ pub const MAX_FLIPS: usize = 4;
 
 /// A `k`-bit flip move: `k` strictly increasing bit positions.
 ///
-/// Constructed via [`FlipMove::one`], [`FlipMove::two`], [`FlipMove::three`]
-/// or [`FlipMove::from_sorted`]. Invariant: the first `k` entries of `idx`
-/// are strictly increasing and the rest are unused.
+/// Constructed via [`FlipMove::one`], [`FlipMove::two`], [`FlipMove::three`],
+/// [`FlipMove::from_sorted`] or [`FlipMove::from_array`]. Invariant: the
+/// first `k` entries of `idx` are strictly increasing and the rest are
+/// zero (equality and hashing compare the whole array).
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub struct FlipMove {
     idx: [u32; MAX_FLIPS],
@@ -60,6 +61,25 @@ impl FlipMove {
         let mut idx = [0u32; MAX_FLIPS];
         idx[..bits.len()].copy_from_slice(bits);
         Self { idx, k: bits.len() as u8 }
+    }
+
+    /// Build a move from the first `k` entries of a full index array.
+    ///
+    /// The hot-loop constructor: no slice copy, and the invariant (`k`
+    /// in `1..=MAX_FLIPS`, `idx[..k]` strictly increasing, the unused
+    /// slots zero) is checked only by `debug_assert`. Row walks build
+    /// every move of a neighborhood scan through it.
+    #[inline]
+    pub fn from_array(idx: [u32; MAX_FLIPS], k: usize) -> Self {
+        debug_assert!(
+            (1..=MAX_FLIPS).contains(&k),
+            "FlipMove supports 1..={MAX_FLIPS} bits, got {k}"
+        );
+        debug_assert!(
+            idx[..k].windows(2).all(|w| w[0] < w[1]) && idx[k..].iter().all(|&b| b == 0),
+            "FlipMove::from_array needs {k} strictly increasing bits and zeroed unused slots: {idx:?}"
+        );
+        Self { idx, k: k as u8 }
     }
 
     /// The flipped bit positions, strictly increasing.
@@ -132,6 +152,12 @@ mod tests {
     #[should_panic(expected = "1..=4 bits")]
     fn from_sorted_rejects_empty() {
         let _ = FlipMove::from_sorted(&[]);
+    }
+
+    #[test]
+    fn from_array_matches_from_sorted() {
+        assert_eq!(FlipMove::from_array([3, 8, 0, 0], 2), FlipMove::from_sorted(&[3, 8]));
+        assert_eq!(FlipMove::from_array([1, 2, 5, 9], 4), FlipMove::from_sorted(&[1, 2, 5, 9]));
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Iteration over neighborhoods in flat-index order.
 
+use crate::flip::MAX_FLIPS;
 use crate::{FlipMove, Neighborhood};
+use core::ops::Range;
 
 /// Iterator over `(index, move)` pairs of a neighborhood, in index order.
 ///
@@ -71,6 +73,86 @@ pub fn lex_advance(bits: &mut [u32], n: u32) -> bool {
         }
     }
     false
+}
+
+/// One row of a fixed-`k` lexicographic neighborhood: the moves that
+/// share their first `k − 1` bits, in index order. The last bit sweeps
+/// a contiguous range, so a scan over the row is a tight loop that
+/// writes one array slot per move.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct MoveRow {
+    /// The `k − 1` fixed bits in `prefix[..k - 1]`; every other slot is
+    /// zero, so writing the last bit at `prefix[k - 1]` yields a valid
+    /// [`FlipMove::from_array`] input.
+    pub prefix: [u32; MAX_FLIPS],
+    /// The values the last bit takes, ascending.
+    pub last: Range<u32>,
+}
+
+/// Row-by-row walk over a contiguous run of flat indices of a fixed-`k`
+/// lexicographic neighborhood (produced by
+/// [`Neighborhood::for_each_row_walk`]).
+///
+/// The first row starts wherever the run starts; each later row begins
+/// with one [`lex_advance`] of the `k − 1` prefix bits, and the last row
+/// stops where the run stops. No move is unranked after the first.
+#[derive(Clone, Debug)]
+pub struct RowWalk {
+    n: u32,
+    k: usize,
+    prefix: [u32; MAX_FLIPS],
+    next_last: u32,
+    left: u64,
+}
+
+impl RowWalk {
+    /// Walk `count` consecutive moves of the `first.k()`-Hamming
+    /// neighborhood over `n`-bit strings, starting at `first`. `count`
+    /// must not run past the neighborhood's last move.
+    pub fn new(n: usize, first: FlipMove, count: u64) -> Self {
+        let k = first.k();
+        let mut prefix = [0u32; MAX_FLIPS];
+        prefix[..k - 1].copy_from_slice(&first.bits()[..k - 1]);
+        Self { n: n as u32, k, prefix, next_last: first.bits()[k - 1], left: count }
+    }
+
+    /// Hamming weight of every move in the walk.
+    #[inline]
+    pub fn k(&self) -> usize {
+        self.k
+    }
+
+    /// Moves left in the walk.
+    #[inline]
+    pub fn move_count(&self) -> u64 {
+        self.left
+    }
+}
+
+impl Iterator for RowWalk {
+    type Item = MoveRow;
+
+    #[inline]
+    fn next(&mut self) -> Option<MoveRow> {
+        if self.left == 0 {
+            return None;
+        }
+        let start = self.next_last;
+        let len = u64::from(self.n - start).min(self.left);
+        self.left -= len;
+        let row = MoveRow { prefix: self.prefix, last: start..start + len as u32 };
+        if self.left > 0 {
+            // Next prefix: a (k−1)-combination whose top bit leaves room
+            // for one more, i.e. over 0..n−1.
+            let p = self.k - 1;
+            assert!(
+                p > 0 && lex_advance(&mut self.prefix[..p], self.n - 1),
+                "row walk ran past the neighborhood's last move"
+            );
+            self.next_last = self.prefix[p - 1] + 1;
+        }
+        Some(row)
+    }
 }
 
 /// Iterator over `(index, move)` pairs in lexicographic order using
@@ -177,6 +259,50 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 35); // C(7,3)
+    }
+
+    /// Expand a row walk back into moves, one per flat index.
+    fn expand(walk: RowWalk) -> Vec<FlipMove> {
+        let k = walk.k();
+        walk.flat_map(|row| {
+            row.last.map(move |b| {
+                let mut idx = row.prefix;
+                idx[k - 1] = b;
+                FlipMove::from_array(idx, k)
+            })
+        })
+        .collect()
+    }
+
+    #[test]
+    fn row_walks_match_unranking_on_every_subrange() {
+        for (n, k) in [(7usize, 1usize), (7, 2), (7, 3), (7, 4), (9, 2)] {
+            let hood = crate::KHamming::new(n, k);
+            let m = hood.size();
+            for lo in 0..m {
+                for hi in lo + 1..=m {
+                    let mut got = Vec::new();
+                    hood.for_each_row_walk(lo, hi, &mut |walk| got.extend(expand(walk)));
+                    let want: Vec<_> = (lo..hi).map(|i| hood.unrank(i)).collect();
+                    assert_eq!(got, want, "n={n} k={k} {lo}..{hi}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rows_break_where_the_prefix_changes() {
+        let rows: Vec<_> = RowWalk::new(5, FlipMove::two(1, 3), 5).collect();
+        assert_eq!(rows.len(), 3);
+        assert_eq!((rows[0].prefix[0], rows[0].last.clone()), (1, 3..5));
+        assert_eq!((rows[1].prefix[0], rows[1].last.clone()), (2, 3..5));
+        assert_eq!((rows[2].prefix[0], rows[2].last.clone()), (3, 4..5));
+    }
+
+    #[test]
+    #[should_panic(expected = "past the neighborhood's last move")]
+    fn overlong_row_walk_is_refused() {
+        let _ = RowWalk::new(4, FlipMove::two(2, 3), 2).count();
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use crate::combinadic::{rank_combinadic, unrank_combinadic};
 use crate::flip::MAX_FLIPS;
-use crate::{binomial, FlipMove, Neighborhood};
+use crate::{checked_binomial, FlipMove, Neighborhood};
 
 /// The neighborhood of all `k`-bit flips of an `n`-bit string
 /// (`C(n, k)` moves), `1 ≤ k ≤` [`MAX_FLIPS`].
@@ -20,11 +20,21 @@ impl KHamming {
     /// Neighborhood of Hamming distance `k` over `n`-bit strings.
     ///
     /// # Panics
-    /// Panics if `k == 0`, `k > MAX_FLIPS`, or `k > n`.
+    /// Panics if `k == 0`, `k > MAX_FLIPS`, `k > n`, or `C(n, k)`
+    /// overflows `u64`; [`try_new`](Self::try_new) reports these instead.
     pub fn new(n: usize, k: usize) -> Self {
         assert!((1..=MAX_FLIPS).contains(&k), "KHamming supports 1..={MAX_FLIPS}, got k={k}");
         assert!(k <= n, "KHamming requires k <= n (k={k}, n={n})");
-        Self { n, k, size: binomial(n as u64, k as u64) }
+        Self::try_new(n, k).expect("KHamming size C(n, k) overflows u64")
+    }
+
+    /// Checked [`new`](Self::new): `None` for an invalid radius or a
+    /// neighborhood whose size `C(n, k)` does not fit in `u64`.
+    pub fn try_new(n: usize, k: usize) -> Option<Self> {
+        if !(1..=MAX_FLIPS).contains(&k) || k > n {
+            return None;
+        }
+        Some(Self { n, k, size: checked_binomial(n as u64, k as u64)? })
     }
 }
 
@@ -103,6 +113,15 @@ mod tests {
         for f in 0..h.size() {
             assert_eq!(h.rank(&h.unrank(f)), f);
         }
+    }
+
+    #[test]
+    fn try_new_rejects_what_new_panics_on() {
+        assert_eq!(KHamming::try_new(2, 3), None);
+        assert_eq!(KHamming::try_new(10, 0), None);
+        assert_eq!(KHamming::try_new(10, MAX_FLIPS + 1), None);
+        assert_eq!(KHamming::try_new(1 << 40, 4), None);
+        assert_eq!(KHamming::try_new(15, 4), Some(KHamming::new(15, 4)));
     }
 
     #[test]

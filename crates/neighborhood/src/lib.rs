@@ -53,7 +53,7 @@ mod three;
 mod two;
 
 pub use flip::FlipMove;
-pub use iter::{lex_advance, LexMoves, MoveIter};
+pub use iter::{lex_advance, LexMoves, MoveIter, MoveRow, RowWalk};
 pub use khamming::KHamming;
 pub use one::OneHamming;
 pub use partition::{partition_ranges, IndexRange};
@@ -145,6 +145,22 @@ pub trait Neighborhood: Send + Sync {
         }
     }
 
+    /// Hand the moves with flat indices `lo..hi` (clamped to
+    /// [`size`](Self::size)) to `f` as [`RowWalk`]s, in index order.
+    ///
+    /// This is the evaluation kernel's enumeration: each walk has one
+    /// fixed `k`, so a scan can dispatch on `k` once per walk and run a
+    /// monomorphic loop over its rows. The default implementation is
+    /// for fixed-k lexicographic neighborhoods (one walk, one unranking
+    /// at `lo`); [`UnionHamming`] hands over one walk per part the range
+    /// touches.
+    fn for_each_row_walk(&self, lo: u64, hi: u64, f: &mut dyn FnMut(RowWalk)) {
+        let hi = hi.min(self.size());
+        if lo < hi {
+            f(RowWalk::new(self.dim(), self.unrank(lo), hi - lo));
+        }
+    }
+
     /// A short human-readable name, e.g. `"2-Hamming"`.
     fn name(&self) -> &'static str;
 }
@@ -156,15 +172,26 @@ pub trait Neighborhood: Send + Sync {
 /// Panics if the result does not fit in `u64`.
 #[inline]
 pub fn binomial(n: u64, k: u64) -> u64 {
+    checked_binomial(n, k).expect("binomial overflows u64")
+}
+
+/// Checked [`binomial`]: `None` when `C(n, k)` does not fit in `u64`.
+pub(crate) fn checked_binomial(n: u64, k: u64) -> Option<u64> {
     if k > n {
-        return 0;
+        return Some(0);
     }
     let k = k.min(n - k);
     let mut acc: u128 = 1;
     for t in 0..k {
+        // acc = C(n, t) ≤ u64::MAX here, so the product fits in u128;
+        // C(n, t) grows with t up to k ≤ n/2, so an overflow mid-way
+        // means the result overflows too.
         acc = acc * (n - t) as u128 / (t + 1) as u128;
+        if acc > u64::MAX as u128 {
+            return None;
+        }
     }
-    u64::try_from(acc).expect("binomial overflows u64")
+    Some(acc as u64)
 }
 
 #[cfg(test)]
@@ -189,6 +216,13 @@ mod tests {
                 assert_eq!(binomial(n, k), binomial(n - 1, k - 1) + binomial(n - 1, k));
             }
         }
+    }
+
+    #[test]
+    fn checked_binomial_reports_overflow() {
+        assert_eq!(checked_binomial(1 << 40, 4), None);
+        assert_eq!(checked_binomial(1 << 40, 1), Some(1 << 40));
+        assert_eq!(checked_binomial(64, 4), Some(binomial(64, 4)));
     }
 
     #[test]

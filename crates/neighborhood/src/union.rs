@@ -12,7 +12,7 @@
 //! mapping decodes the remainder.
 
 use crate::khamming::KHamming;
-use crate::{FlipMove, Neighborhood};
+use crate::{FlipMove, Neighborhood, RowWalk};
 
 /// Concatenation of `KHamming` neighborhoods with distinct radii, in
 /// ascending-`k` order.
@@ -131,6 +131,16 @@ impl Neighborhood for UnionHamming {
         }
     }
 
+    fn for_each_row_walk(&self, lo: u64, hi: u64, f: &mut dyn FnMut(RowWalk)) {
+        for (i, part) in self.parts.iter().enumerate() {
+            let (plo, phi) = self.segment(i);
+            let (slo, shi) = (lo.max(plo), hi.min(phi));
+            if slo < shi {
+                part.for_each_row_walk(slo - plo, shi - plo, f);
+            }
+        }
+    }
+
     fn name(&self) -> &'static str {
         "union-Hamming"
     }
@@ -214,6 +224,26 @@ mod tests {
             count < 9 // stop inside the 2-Hamming segment
         });
         assert_eq!(count, 9);
+    }
+
+    #[test]
+    fn row_walks_cover_ranges_across_segments() {
+        let u = UnionHamming::ladder123(7);
+        for (lo, hi) in [(0, u.size()), (5, 15), (9, 60), (30, 31)] {
+            let mut got = Vec::new();
+            u.for_each_row_walk(lo, hi, &mut |walk| {
+                let k = walk.k();
+                for row in walk {
+                    for b in row.last {
+                        let mut idx = row.prefix;
+                        idx[k - 1] = b;
+                        got.push(FlipMove::from_array(idx, k));
+                    }
+                }
+            });
+            let want: Vec<_> = (lo..hi).map(|i| u.unrank(i)).collect();
+            assert_eq!(got, want, "{lo}..{hi}");
+        }
     }
 
     #[test]

@@ -165,6 +165,7 @@ impl IncrementalEval for Ppp {
         state.fitness()
     }
 
+    #[inline]
     fn neighbor_fitness(&self, state: &mut PppState, s: &BitString, mv: &FlipMove) -> i64 {
         let mut neg_d = 0i64;
         // Split borrows: the closure mutates scratch while reading `y`.

@@ -146,6 +146,7 @@ impl IncrementalEval for IsingLattice {
         state.energy
     }
 
+    #[inline]
     fn neighbor_fitness(&self, state: &mut IsingState, s: &BitString, mv: &FlipMove) -> i64 {
         // ΔE for one flip: 2·σ_i·φ_i. For multi-flips, bonds between two
         // flipped sites keep their product, so each such bond's double

@@ -186,6 +186,7 @@ impl IncrementalEval for Knapsack {
         self.fitness_of(state.value, state.weight)
     }
 
+    #[inline]
     fn neighbor_fitness(&self, state: &mut KnapsackState, s: &BitString, mv: &FlipMove) -> i64 {
         let mut value = state.value;
         let mut weight = state.weight;

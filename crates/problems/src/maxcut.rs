@@ -213,6 +213,7 @@ impl IncrementalEval for MaxCut {
         state.fitness
     }
 
+    #[inline]
     fn neighbor_fitness(&self, state: &mut MaxCutState, s: &BitString, mv: &FlipMove) -> i64 {
         // Flipping vertex v turns its crossing edges into same-side ones
         // and vice versa: Δ(−cut) = cross_v − same_v. For multi-bit moves

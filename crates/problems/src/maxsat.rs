@@ -199,6 +199,7 @@ impl IncrementalEval for MaxSat {
         state.unsat
     }
 
+    #[inline]
     fn neighbor_fitness(&self, state: &mut MaxSatState, s: &BitString, mv: &FlipMove) -> i64 {
         state.epoch = state.epoch.wrapping_add(1);
         let epoch = state.epoch;

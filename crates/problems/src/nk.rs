@@ -95,6 +95,7 @@ impl IncrementalEval for NkLandscape {
         state.total
     }
 
+    #[inline]
     fn neighbor_fitness(&self, state: &mut NkState, s: &BitString, mv: &FlipMove) -> i64 {
         state.epoch = state.epoch.wrapping_add(1);
         let epoch = state.epoch;

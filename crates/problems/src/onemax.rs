@@ -54,6 +54,7 @@ impl IncrementalEval for OneMax {
         state.zeros
     }
 
+    #[inline]
     fn neighbor_fitness(&self, state: &mut OneMaxState, s: &BitString, mv: &FlipMove) -> i64 {
         let mut f = state.zeros;
         for &b in mv.bits() {

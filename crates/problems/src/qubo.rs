@@ -163,6 +163,7 @@ impl IncrementalEval for Qubo {
         state.fitness
     }
 
+    #[inline]
     fn neighbor_fitness(&self, state: &mut QuboState, s: &BitString, mv: &FlipMove) -> i64 {
         // Apply the flips sequentially; only the flipped coordinates'
         // effective x and r values change along the way (O(k²)).

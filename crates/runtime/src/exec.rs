@@ -39,13 +39,24 @@ use std::sync::Arc;
 /// Launch-batching compatibility key: jobs fuse when the concrete
 /// executor type, problem family, dimensionality and neighborhood all
 /// agree.
+///
+/// Executors build their key once (at construction and on restore) and
+/// lend it out, because the scheduler compares keys across its whole
+/// queue on every placement.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct BatchKey {
+    // Cheap fields first: the derived `eq` compares in field order.
     type_id: TypeId,
-    family: String,
     dim: usize,
     hood_size: u64,
     k: usize,
+    family: String,
+}
+
+impl BatchKey {
+    fn of<T: 'static>(family: String, dim: usize, hood_size: u64, k: usize) -> Self {
+        Self { type_id: TypeId::of::<T>(), dim, hood_size, k, family }
+    }
 }
 
 /// What one scheduler step actually did: iterations executed and the
@@ -100,7 +111,7 @@ pub trait JobExec: Send {
     /// budgets and the serialized baseline).
     fn iterations(&self) -> u64;
     /// Launch-batching key; `None` for unbatchable workloads.
-    fn batch_key(&self) -> Option<BatchKey>;
+    fn batch_key(&self) -> Option<&BatchKey>;
     /// Downcast hook for batch leaders driving same-key peers.
     fn as_any_mut(&mut self) -> &mut dyn Any;
 
@@ -176,6 +187,7 @@ where
     pub host: HostSpec,
     pub selection: SelectionMode,
     pub fused_iters: u64,
+    pub key: BatchKey,
 }
 
 impl<P, N> BinaryTabuJob<P, N>
@@ -191,6 +203,7 @@ where
             name: ctx.name(spec.name),
             priority: ctx.priority(spec.priority),
             seq: ctx.seq,
+            key: Self::key(&spec.problem, &spec.hood),
             problem: Arc::new(spec.problem),
             hood: spec.hood,
             cursor,
@@ -200,6 +213,10 @@ where
             selection: ctx.selection,
             fused_iters: 0,
         }
+    }
+
+    fn key(problem: &P, hood: &N) -> BatchKey {
+        BatchKey::of::<Self>(problem.name(), problem.dim(), hood.size(), hood.k())
     }
 
     fn profile(&self, spec: &DeviceSpec) -> LaneProfile {
@@ -243,14 +260,8 @@ where
         self.cursor.iterations()
     }
 
-    fn batch_key(&self) -> Option<BatchKey> {
-        Some(BatchKey {
-            type_id: TypeId::of::<Self>(),
-            family: self.problem.name(),
-            dim: self.problem.dim(),
-            hood_size: self.hood.size(),
-            k: self.hood.k(),
-        })
+    fn batch_key(&self) -> Option<&BatchKey> {
+        Some(&self.key)
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
@@ -423,6 +434,7 @@ where
             host: self.host.clone(),
             selection: self.selection,
             fused_iters: self.fused_iters,
+            key: self.key.clone(),
         })
     }
 
@@ -475,6 +487,7 @@ where
         name,
         priority,
         seq,
+        key: BinaryTabuJob::<P, N>::key(&problem, &hood),
         problem: Arc::new(problem),
         hood,
         cursor,
@@ -593,7 +606,7 @@ impl JobExec for QapJob {
         self.cursor.iterations()
     }
 
-    fn batch_key(&self) -> Option<BatchKey> {
+    fn batch_key(&self) -> Option<&BatchKey> {
         None
     }
 
@@ -791,6 +804,7 @@ where
     pub host: HostSpec,
     /// Iterations executed inside fused (≥ 2 member) launches.
     pub fused_iters: u64,
+    pub key: BatchKey,
 }
 
 impl<P, N> AnnealExec<P, N>
@@ -806,11 +820,20 @@ where
             name: ctx.name(spec.name),
             priority: ctx.priority(spec.priority),
             seq: ctx.seq,
+            key: Self::key(&spec.problem, cursor.hood()),
             walk: ProblemCursor::new(Arc::new(spec.problem), cursor),
             state_h2d_bytes,
             host: ctx.host,
             fused_iters: 0,
         }
+    }
+
+    /// Chains fuse when they sample the same neighborhood family over
+    /// the same problem shape; `hood_size` is 1 — every member
+    /// evaluates one sampled move per iteration regardless of how large
+    /// the neighborhood it samples from is.
+    fn key(problem: &P, hood: &N) -> BatchKey {
+        BatchKey::of::<Self>(problem.name(), problem.dim(), 1, hood.k())
     }
 
     /// One sampled-neighbor evaluation: `m = 1`.
@@ -855,18 +878,8 @@ where
         self.walk.iterations()
     }
 
-    fn batch_key(&self) -> Option<BatchKey> {
-        // Chains fuse when they sample the same neighborhood family over
-        // the same problem shape; `hood_size` is 1 — every member
-        // evaluates one sampled move per iteration regardless of how
-        // large the neighborhood it samples from is.
-        Some(BatchKey {
-            type_id: TypeId::of::<Self>(),
-            family: self.walk.problem().name(),
-            dim: self.walk.problem().dim(),
-            hood_size: 1,
-            k: self.walk.cursor().hood().k(),
-        })
+    fn batch_key(&self) -> Option<&BatchKey> {
+        Some(&self.key)
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
@@ -1020,6 +1033,7 @@ where
             state_h2d_bytes: self.state_h2d_bytes,
             host: self.host.clone(),
             fused_iters: self.fused_iters,
+            key: self.key.clone(),
         })
     }
 
@@ -1060,6 +1074,7 @@ where
         name,
         priority,
         seq,
+        key: AnnealExec::<P, N>::key(&problem, cursor.hood()),
         walk: ProblemCursor::new(Arc::new(problem), cursor),
         state_h2d_bytes,
         host,

@@ -51,7 +51,7 @@
 //!     fn seq(&self) -> u64 { self.seq }
 //!     fn done(&self) -> bool { self.left == 0 }
 //!     fn iterations(&self) -> u64 { self.executed }
-//!     fn batch_key(&self) -> Option<BatchKey> { None } // never fuses
+//!     fn batch_key(&self) -> Option<&BatchKey> { None } // never fuses
 //!     fn as_any_mut(&mut self) -> &mut dyn Any { self }
 //!
 //!     fn step_device(&mut self, dev: &mut Device, quota: u64) -> StepRun {

@@ -269,7 +269,7 @@ where
         self.walk.iterations()
     }
 
-    fn batch_key(&self) -> Option<BatchKey> {
+    fn batch_key(&self) -> Option<&BatchKey> {
         // Each round already *is* a fused multi-lane batch; rounds of
         // different jobs have unrelated freed sets, so cross-tenant
         // fusion has nothing coherent to fuse.
@@ -680,7 +680,7 @@ where
         self.walk.iterations()
     }
 
-    fn batch_key(&self) -> Option<BatchKey> {
+    fn batch_key(&self) -> Option<&BatchKey> {
         // The race is already a fused heterogeneous batch of its own
         // three lanes; it never fuses with other tenants.
         None

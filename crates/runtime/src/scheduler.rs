@@ -943,17 +943,15 @@ impl Scheduler {
             // idle device instead of piling onto this one.
             if backend < self.devices.len() && self.cfg.max_batch > 1 {
                 if let Some(key) = jobs[0].job.batch_key() {
-                    let same_key = 1 + self
-                        .queue
-                        .iter()
-                        .filter(|e| e.job.batch_key().as_ref() == Some(&key))
-                        .count();
+                    let same_key =
+                        1 + self.queue.iter().filter(|e| e.job.batch_key() == Some(key)).count();
                     let idle_devices = (0..self.devices.len())
                         .filter(|&b| self.active[b].is_none())
                         .count()
                         .max(1);
                     let cap = self.cfg.max_batch.min(same_key.div_ceil(idle_devices)).max(1);
-                    self.drain_batch_peers(&key, &mut jobs, cap);
+                    let peers = self.drain_batch_peers(key, cap - 1);
+                    jobs.extend(peers);
                 }
             }
             for aj in &jobs {
@@ -978,10 +976,13 @@ impl Scheduler {
         }
     }
 
-    fn drain_batch_peers(&mut self, key: &BatchKey, jobs: &mut Vec<ActiveJob>, cap: usize) {
-        while jobs.len() < cap {
+    /// Take up to `max` queued jobs sharing `key`, best priority first
+    /// (FIFO among equals).
+    fn drain_batch_peers(&mut self, key: &BatchKey, max: usize) -> Vec<ActiveJob> {
+        let mut peers = Vec::new();
+        while peers.len() < max {
             let peer = (0..self.queue.len())
-                .filter(|&i| self.queue[i].job.batch_key().as_ref() == Some(key))
+                .filter(|&i| self.queue[i].job.batch_key() == Some(key))
                 .min_by_key(|&i| {
                     let j = &self.queue[i].job;
                     (std::cmp::Reverse(j.priority()), j.seq())
@@ -989,11 +990,12 @@ impl Scheduler {
             match peer {
                 Some(i) => {
                     let entry = self.queue.swap_remove(i);
-                    jobs.push(ActiveJob { job: entry.job, deficit: entry.deficit });
+                    peers.push(ActiveJob { job: entry.job, deficit: entry.deficit });
                 }
-                None => return,
+                None => break,
             }
         }
+        peers
     }
 
     // -- stepping -----------------------------------------------------

@@ -1,5 +1,5 @@
 //! Criterion micro-benchmarks of PPP evaluation: full re-evaluation vs
-//! the O(m·k + touched) incremental path, per neighborhood size — the
+//! the branch-free O(m·k + n) incremental path, per neighborhood size — the
 //! quantity that decides every CPU column in the paper's tables.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

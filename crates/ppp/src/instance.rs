@@ -14,6 +14,10 @@ use lnls_core::BitString;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Largest `m · n` [`PppInstance::parse`] accepts: 2^28 matrix entries,
+/// far past the paper's largest instance (1501×1517 ≈ 2^21).
+const MAX_ENTRIES: usize = 1 << 28;
+
 /// A PPP instance: public matrix + target multiset (as a histogram),
 /// optionally remembering the planted secret (for tests and the crypto
 /// example; a real verifier would not have it).
@@ -114,6 +118,12 @@ impl PppInstance {
         }
         let m: usize = it.next().ok_or("missing m")?.parse().map_err(|e| format!("bad m: {e}"))?;
         let n: usize = it.next().ok_or("missing n")?.parse().map_err(|e| format!("bad n: {e}"))?;
+        if m == 0 || n == 0 {
+            return Err(format!("instance must be non-empty, got {m}x{n}"));
+        }
+        if m.checked_mul(n).is_none_or(|mn| mn > MAX_ENTRIES) {
+            return Err(format!("implausible instance size {m}x{n}"));
+        }
 
         let rows_line = lines.next().ok_or("missing rows line")?;
         let mut rows_it = rows_line.split_whitespace();
@@ -123,7 +133,7 @@ impl PppInstance {
         let rows: Vec<u64> = rows_it
             .map(|t| u64::from_str_radix(t, 16).map_err(|e| format!("bad row word: {e}")))
             .collect::<Result<_, _>>()?;
-        let a = EpsilonMatrix::from_row_words(m, n, &rows);
+        let a = EpsilonMatrix::from_row_words(m, n, &rows)?;
 
         let hist_line = lines.next().ok_or("missing hist line")?;
         let mut hist_it = hist_line.split_whitespace();
@@ -135,6 +145,13 @@ impl PppInstance {
             .collect::<Result<_, _>>()?;
         if target_hist.len() != n + 1 {
             return Err(format!("hist has {} entries, expected {}", target_hist.len(), n + 1));
+        }
+        // A multiset of `m` row products: the incremental evaluator's
+        // `i32` histogram arithmetic relies on counts in `0..=m`.
+        if target_hist.iter().any(|&h| h < 0)
+            || target_hist.iter().map(|&h| h as i64).sum::<i64>() != m as i64
+        {
+            return Err(format!("hist must hold {m} non-negative counts"));
         }
 
         let secret_line = lines.next().ok_or("missing secret line")?;
@@ -150,6 +167,10 @@ impl PppInstance {
                 .iter()
                 .map(|t| u64::from_str_radix(t, 16).map_err(|e| format!("bad secret word: {e}")))
                 .collect::<Result<_, _>>()?;
+            let expected = n.div_ceil(64);
+            if words.len() != expected {
+                return Err(format!("secret has {} words, expected {expected}", words.len()));
+            }
             let mut v = BitString::zeros(n);
             for i in 0..n {
                 if (words[i / 64] >> (i % 64)) & 1 == 1 {
@@ -241,6 +262,58 @@ mod tests {
         assert!(PppInstance::parse("").is_err());
         assert!(PppInstance::parse("ppp 3").is_err());
         assert!(PppInstance::parse("ppp 3 3\nrows zz\nhist 0\nsecret -").is_err());
+    }
+
+    /// A saved instance with line `line` (0-based) replaced.
+    fn with_line(inst: &PppInstance, line: usize, text: &str) -> String {
+        let mut lines: Vec<String> = inst.save_to_string().lines().map(String::from).collect();
+        lines[line] = text.to_string();
+        lines.join("\n")
+    }
+
+    #[test]
+    fn parse_rejects_row_word_count_mismatch() {
+        let inst = PppInstance::generate(5, 7, 1);
+        let err = PppInstance::parse(&with_line(&inst, 1, "rows 1 2 3")).unwrap_err();
+        assert!(err.contains("row words"), "{err}");
+        let extra = format!("{} 0", inst.save_to_string().lines().nth(1).unwrap());
+        assert!(PppInstance::parse(&with_line(&inst, 1, &extra)).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_empty_shapes() {
+        for (m, n) in [(0, 3), (3, 0), (0, 0)] {
+            let text = format!("ppp {m} {n}\nrows\nhist 0 0 0 0\nsecret -");
+            let err = PppInstance::parse(&text).unwrap_err();
+            assert!(err.contains("non-empty"), "{m}x{n}: {err}");
+        }
+    }
+
+    #[test]
+    fn parse_rejects_short_secret() {
+        let inst = PppInstance::generate(5, 130, 2);
+        // n = 130 needs three secret words; give one.
+        let err = PppInstance::parse(&with_line(&inst, 3, "secret ff")).unwrap_err();
+        assert!(err.contains("secret has 1 words"), "{err}");
+        assert!(PppInstance::parse(&with_line(&inst, 3, "secret")).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_implausible_sizes() {
+        for header in ["ppp 65536 65536", "ppp 18446744073709551615 2"] {
+            let text = format!("{header}\nrows\nhist\nsecret -");
+            let err = PppInstance::parse(&text).unwrap_err();
+            assert!(err.contains("implausible"), "{header}: {err}");
+        }
+    }
+
+    #[test]
+    fn parse_rejects_bad_target_counts() {
+        let inst = PppInstance::generate(5, 3, 3);
+        // m = 5 rows but the counts sum to 4, then a negative count.
+        assert!(PppInstance::parse(&with_line(&inst, 2, "hist 0 1 0 3")).is_err());
+        assert!(PppInstance::parse(&with_line(&inst, 2, "hist 0 6 0 -1")).is_err());
+        assert!(PppInstance::parse(&with_line(&inst, 2, "hist 0 2 0 3")).is_ok());
     }
 
     #[test]

@@ -147,9 +147,16 @@ impl EpsilonMatrix {
     }
 
     /// Rebuild from row-major words (inverse of [`row_words`](Self::row_words)).
-    pub(crate) fn from_row_words(m: usize, n: usize, rows: &[u64]) -> Self {
+    /// Errors unless the shape is non-empty and `rows` holds exactly its
+    /// `m · ⌈n/64⌉` words.
+    pub(crate) fn from_row_words(m: usize, n: usize, rows: &[u64]) -> Result<Self, String> {
+        if m == 0 || n == 0 {
+            return Err(format!("matrix must be non-empty, got {m}x{n}"));
+        }
         let wpr = n.div_ceil(64);
-        assert_eq!(rows.len(), m * wpr, "row words length mismatch");
+        if Some(rows.len()) != m.checked_mul(wpr) {
+            return Err(format!("{} row words for a {m}x{n} matrix", rows.len()));
+        }
         let mut a = Self::plus_ones(m, n);
         for j in 0..m {
             for c in 0..n {
@@ -158,7 +165,7 @@ impl EpsilonMatrix {
                 }
             }
         }
-        a
+        Ok(a)
     }
 }
 
@@ -231,7 +238,7 @@ mod tests {
     fn serialization_roundtrip() {
         let mut rng = StdRng::seed_from_u64(4);
         let a = EpsilonMatrix::random(&mut rng, 11, 33);
-        let b = EpsilonMatrix::from_row_words(11, 33, a.row_words());
+        let b = EpsilonMatrix::from_row_words(11, 33, a.row_words()).unwrap();
         assert_eq!(a, b);
     }
 }

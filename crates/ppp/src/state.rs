@@ -1,16 +1,32 @@
 //! The PPP as an [`IncrementalEval`] problem: `O(m·k + n)` neighbor
-//! evaluation instead of `O(m·n)` full re-evaluation.
+//! evaluation instead of `O(m·n)` full re-evaluation, with no
+//! data-dependent branch per row.
 //!
 //! The state tracks the product vector `Y`, the candidate histogram `H'`
-//! (non-negative bins), and both cost terms. Evaluating a `k`-flip
-//! neighbor walks the `k` packed matrix columns once: per row,
-//! `ΔY_j = Σ_c 4·(a_jc ⊕ v_c) − 2`, and the histogram-cost delta is
-//! accumulated through a scratch delta-histogram (`O(touched bins)`
-//! cleanup, no allocation).
+//! (non-negative bins), both cost terms, and the range `ymin..=ymax` of
+//! `Y`. A `k`-flip changes row `j` by `ΔY_j = Σ_c 4·(a_jc ⊕ v_c) − 2k`,
+//! and a neighbor is evaluated in two passes:
+//!
+//! 1. **Rows.** Per packed column word, the `k` xor-adjusted column words
+//!    are formed once. For `k = 2` only the rows with `ΔY = ±4` change:
+//!    `d0 & d1` holds the `+4` rows and `!d0 & !d1` the `−4` rows, each
+//!    walked by a `trailing_zeros` set-bit loop. Other `k` walk every
+//!    row. A changed row adds `max(0, −2·new) − max(0, −2·old)` to the
+//!    negativity cost and moves one count from `delta[old]` to
+//!    `delta[new]`, unconditionally: the scratch `delta` spans the values
+//!    `−n−8..=n+8`, so a negative `Y` needs no test.
+//! 2. **Histogram.** The histogram-cost change is summed over every bin
+//!    `max(0, ymin−2k)..=min(n, ymax+2k)` a move can reach, changed or
+//!    not, and one `fill(0)` clears the window.
+//!
+//! [`apply_move`](IncrementalEval::apply_move) runs the same two passes,
+//! writing `Y` and `H'` as it goes, then re-scans `ymin`/`ymax`.
 
 use crate::instance::PppInstance;
+use crate::matrix::EpsilonMatrix;
 use crate::objective::{fitness_parts, NEG_WEIGHT};
 use lnls_core::{BinaryProblem, BitString, IncrementalEval};
+use lnls_neighborhood::flip::MAX_FLIPS;
 use lnls_neighborhood::FlipMove;
 
 /// The PPP wrapped as a minimization problem.
@@ -44,6 +60,9 @@ impl lnls_core::PersistTag for Ppp {
     const TAG: &'static str = "ppp";
 }
 
+/// How far past `±n` the scratch `delta` reaches: `|ΔY| ≤ 2k`.
+const PAD: i32 = 2 * MAX_FLIPS as i32;
+
 /// Incremental-evaluation state for [`Ppp`].
 #[derive(Clone, Debug)]
 pub struct PppState {
@@ -55,10 +74,13 @@ pub struct PppState {
     pub neg_cost: i64,
     /// `Σ_i |H_i − H'_i|`.
     pub hist_cost: i64,
-    /// Scratch delta-histogram (always all-zero between calls).
+    /// Smallest entry of `y`.
+    ymin: i32,
+    /// Largest entry of `y`.
+    ymax: i32,
+    /// Scratch delta-histogram over the values `−n−PAD..=n+PAD`, indexed
+    /// `y + n + PAD` (always all-zero between calls).
     delta: Vec<i32>,
-    /// Scratch list of touched bins (cleared between calls).
-    touched: Vec<u32>,
 }
 
 impl PppState {
@@ -67,63 +89,149 @@ impl PppState {
     pub fn fitness(&self) -> i64 {
         NEG_WEIGHT * self.neg_cost + self.hist_cost
     }
-}
 
-/// `|y| − y` (0 for non-negative, `−2y` for negative).
-#[inline]
-fn neg_term(y: i32) -> i64 {
-    if y < 0 {
-        (-2 * y) as i64
-    } else {
-        0
-    }
-}
-
-impl Ppp {
-    /// Shared row walk: calls `row_fn(j, old_y, new_y)` for every row
-    /// whose product changes under `mv`.
-    #[inline]
-    fn for_changed_rows<F: FnMut(usize, i32, i32)>(
-        &self,
-        y: &[i32],
+    /// Pass 1 for `mv`: moves one `delta` count per changed row and
+    /// returns the negativity-cost change. With `COMMIT` it also writes
+    /// the new `Y`.
+    #[inline(always)]
+    fn walk_rows<const COMMIT: bool>(
+        &mut self,
+        a: &EpsilonMatrix,
         s: &BitString,
         mv: &FlipMove,
-        mut row_fn: F,
-    ) {
-        let m = self.inst.m();
-        let wpc = self.inst.a.words_per_col();
-        // Per flipped column: xor-adjusted packed bits so that a set bit
-        // contributes +4 to ΔY (and each column contributes −2 baseline).
-        let k = mv.k();
-        let mut xors: [&[u64]; 4] = [&[]; 4];
-        let mut inv: [u64; 4] = [0; 4];
-        for (t, &c) in mv.bits().iter().enumerate() {
-            xors[t] = self.inst.a.col_words(c as usize);
-            inv[t] = if s.get(c as usize) { u64::MAX } else { 0 };
-        }
-        let base = -2 * k as i32;
-        // Index loops mirror the kernel's word/bit addressing.
-        #[allow(clippy::needless_range_loop)]
-        for w in 0..wpc {
-            let lo = w * 64;
-            let hi = m.min(lo + 64);
-            let mut words = [0u64; 4];
-            for t in 0..k {
-                words[t] = xors[t][w] ^ inv[t];
-            }
-            for j in lo..hi {
-                let r = (j - lo) as u32;
-                let mut set = 0i32;
-                for word in words.iter().take(k) {
-                    set += ((word >> r) & 1) as i32;
-                }
-                let dy = 4 * set + base;
-                if dy != 0 {
-                    row_fn(j, y[j], y[j] + dy);
-                }
-            }
+    ) -> i64 {
+        match mv.k() {
+            1 => self.walk_every_row::<1, COMMIT>(a, s, mv),
+            2 => self.walk_changed_pairs::<COMMIT>(a, s, mv),
+            3 => self.walk_every_row::<3, COMMIT>(a, s, mv),
+            4 => self.walk_every_row::<4, COMMIT>(a, s, mv),
+            k => unreachable!("moves flip at most {MAX_FLIPS} bits, got k={k}"),
         }
     }
+
+    /// [`walk_rows`](Self::walk_rows) for `k = 2`: only the rows where
+    /// both xor-adjusted column bits are set (`ΔY = +4`) or both clear
+    /// (`ΔY = −4`) change, and each set is walked bit by bit.
+    #[inline(always)]
+    fn walk_changed_pairs<const COMMIT: bool>(
+        &mut self,
+        a: &EpsilonMatrix,
+        s: &BitString,
+        mv: &FlipMove,
+    ) -> i64 {
+        let [(col0, inv0), (col1, inv1)] = flip_cols(a, s, mv);
+        let (m, off) = (a.m(), a.n() as i32 + PAD);
+        let Self { y, delta, .. } = self;
+        let mut neg_d = 0i64;
+        for (w, (&c0, &c1)) in col0.iter().zip(col1).enumerate() {
+            let lo = w * 64;
+            let valid = u64::MAX >> (64 - (m - lo).min(64));
+            let (d0, d1) = (c0 ^ inv0, c1 ^ inv1);
+            for (mut rows, dy) in [(d0 & d1 & valid, 4), (!(d0 | d1) & valid, -4)] {
+                while rows != 0 {
+                    let j = lo + rows.trailing_zeros() as usize;
+                    rows &= rows - 1;
+                    neg_d += change_row::<COMMIT>(y, delta, off, j, dy);
+                }
+            }
+        }
+        neg_d
+    }
+
+    /// [`walk_rows`](Self::walk_rows) for `k = K`: every row, with
+    /// `ΔY = 4·(set bits) − 2K` (a `ΔY = 0` row moves its count out of
+    /// and back into the same bin).
+    #[inline(always)]
+    fn walk_every_row<const K: usize, const COMMIT: bool>(
+        &mut self,
+        a: &EpsilonMatrix,
+        s: &BitString,
+        mv: &FlipMove,
+    ) -> i64 {
+        let cols = flip_cols::<K>(a, s, mv);
+        let (m, off) = (a.m(), a.n() as i32 + PAD);
+        let base = -2 * K as i32;
+        let Self { y, delta, .. } = self;
+        let mut neg_d = 0i64;
+        for w in 0..a.words_per_col() {
+            let lo = w * 64;
+            let words = cols.map(|(col, inv)| col[w] ^ inv);
+            for j in lo..m.min(lo + 64) {
+                let r = j - lo;
+                let set: u64 = words.iter().map(|word| (word >> r) & 1).sum();
+                neg_d += change_row::<COMMIT>(y, delta, off, j, 4 * set as i32 + base);
+            }
+        }
+        neg_d
+    }
+
+    /// Pass 2 for a `k`-flip: the histogram-cost change over every bin the
+    /// move can reach, then clears the `delta` window. With `COMMIT` it
+    /// also adds the counts to `hist`.
+    #[inline(always)]
+    fn sweep_hist<const COMMIT: bool>(&mut self, target: &[i32], k: usize) -> i64 {
+        let n = self.hist.len() as i32 - 1;
+        let (reach, off) = (2 * k as i32, n + PAD);
+        let (lo, hi) = ((self.ymin - reach).max(0), (self.ymax + reach).min(n));
+        // |Σ| ≤ Σ|delta| ≤ 2m, so the sum fits an `i32` (and vectorizes).
+        let mut hist_d = 0i32;
+        if lo <= hi {
+            let (lo, hi) = (lo as usize, hi as usize);
+            let (hist, delta) = (&mut self.hist[lo..=hi], &self.delta[lo + off as usize..]);
+            for ((&h, &hp), &d) in target[lo..=hi].iter().zip(&*hist).zip(delta) {
+                hist_d += (h - (hp + d)).abs() - (h - hp).abs();
+            }
+            if COMMIT {
+                for (hp, &d) in hist.iter_mut().zip(delta) {
+                    *hp += d;
+                }
+            }
+        }
+        let window = (self.ymin - reach + off) as usize..=(self.ymax + reach + off) as usize;
+        self.delta[window].fill(0);
+        hist_d as i64
+    }
+}
+
+/// The `K` flipped columns of `mv` as packed words, each with the mask
+/// that xor-adjusts it so a set bit means `+4` to `ΔY`.
+#[inline(always)]
+fn flip_cols<'a, const K: usize>(
+    a: &'a EpsilonMatrix,
+    s: &BitString,
+    mv: &FlipMove,
+) -> [(&'a [u64], u64); K] {
+    let bits = mv.bits();
+    std::array::from_fn(|t| {
+        let c = bits[t] as usize;
+        (a.col_words(c), if s.get(c) { u64::MAX } else { 0 })
+    })
+}
+
+/// One changed row `j`: moves its `delta` count from the old `Y_j` to
+/// `Y_j + dy` and returns its negativity-cost change, without testing
+/// either value's sign.
+#[inline(always)]
+fn change_row<const COMMIT: bool>(
+    y: &mut [i32],
+    delta: &mut [i32],
+    off: i32,
+    j: usize,
+    dy: i32,
+) -> i64 {
+    let old = y[j];
+    let new = old + dy;
+    if COMMIT {
+        y[j] = new;
+    }
+    delta[(old + off) as usize] -= 1;
+    delta[(new + off) as usize] += 1;
+    ((-2 * new).max(0) - (-2 * old).max(0)) as i64
+}
+
+/// `(min, max)` of a non-empty product vector.
+fn y_range(y: &[i32]) -> (i32, i32) {
+    y.iter().fold((i32::MAX, i32::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)))
 }
 
 impl BinaryProblem for Ppp {
@@ -158,7 +266,9 @@ impl IncrementalEval for Ppp {
             }
         }
         let (neg_cost, hist_cost) = fitness_parts(&self.inst, s);
-        PppState { y, hist, neg_cost, hist_cost, delta: vec![0; n + 1], touched: Vec::new() }
+        let (ymin, ymax) = y_range(&y);
+        let delta = vec![0; 2 * (n + PAD as usize) + 1];
+        PppState { y, hist, neg_cost, hist_cost, ymin, ymax, delta }
     }
 
     fn state_fitness(&self, state: &PppState) -> i64 {
@@ -167,73 +277,15 @@ impl IncrementalEval for Ppp {
 
     #[inline]
     fn neighbor_fitness(&self, state: &mut PppState, s: &BitString, mv: &FlipMove) -> i64 {
-        let mut neg_d = 0i64;
-        // Split borrows: the closure mutates scratch while reading `y`.
-        let PppState { y, hist, neg_cost, hist_cost, delta, touched } = state;
-        debug_assert!(touched.is_empty());
-        self.for_changed_rows(y, s, mv, |_, old, new| {
-            neg_d += neg_term(new) - neg_term(old);
-            if old >= 0 {
-                delta[old as usize] -= 1;
-                touched.push(old as u32);
-            }
-            if new >= 0 {
-                delta[new as usize] += 1;
-                touched.push(new as u32);
-            }
-        });
-        let mut hist_d = 0i64;
-        let target = &self.inst.target_hist;
-        for &b in touched.iter() {
-            let b = b as usize;
-            let d = delta[b];
-            if d != 0 {
-                let h = target[b] as i64;
-                let hp = hist[b] as i64;
-                hist_d += (h - (hp + d as i64)).abs() - (h - hp).abs();
-                delta[b] = 0;
-            }
-        }
-        touched.clear();
-        NEG_WEIGHT * (*neg_cost + neg_d) + (*hist_cost + hist_d)
+        let neg_d = state.walk_rows::<false>(&self.inst.a, s, mv);
+        let hist_d = state.sweep_hist::<false>(&self.inst.target_hist, mv.k());
+        NEG_WEIGHT * (state.neg_cost + neg_d) + (state.hist_cost + hist_d)
     }
 
     fn apply_move(&self, state: &mut PppState, s: &BitString, mv: &FlipMove) {
-        let mut neg_d = 0i64;
-        let PppState { y, hist, neg_cost, hist_cost, delta, touched } = state;
-        debug_assert!(touched.is_empty());
-        let mut updates: Vec<(usize, i32)> = Vec::with_capacity(16);
-        self.for_changed_rows(y, s, mv, |j, old, new| {
-            neg_d += neg_term(new) - neg_term(old);
-            if old >= 0 {
-                delta[old as usize] -= 1;
-                touched.push(old as u32);
-            }
-            if new >= 0 {
-                delta[new as usize] += 1;
-                touched.push(new as u32);
-            }
-            updates.push((j, new));
-        });
-        for (j, new) in updates {
-            y[j] = new;
-        }
-        let target = &self.inst.target_hist;
-        let mut hist_d = 0i64;
-        for &b in touched.iter() {
-            let b = b as usize;
-            let d = delta[b];
-            if d != 0 {
-                let h = target[b] as i64;
-                let hp = hist[b] as i64;
-                hist_d += (h - (hp + d as i64)).abs() - (h - hp).abs();
-                hist[b] += d;
-                delta[b] = 0;
-            }
-        }
-        touched.clear();
-        *neg_cost += neg_d;
-        *hist_cost += hist_d;
+        state.neg_cost += state.walk_rows::<true>(&self.inst.a, s, mv);
+        state.hist_cost += state.sweep_hist::<true>(&self.inst.target_hist, mv.k());
+        (state.ymin, state.ymax) = y_range(&state.y);
     }
 }
 
@@ -260,7 +312,6 @@ mod tests {
         }
         // Scratch must be clean afterwards.
         assert!(st.delta.iter().all(|&d| d == 0));
-        assert!(st.touched.is_empty());
     }
 
     #[test]
@@ -300,6 +351,9 @@ mod tests {
             let mut y = Vec::new();
             p.inst.a.product(&s, &mut y);
             assert_eq!(y, st.y, "Y vector at step {step}");
+            let range = (*y.iter().min().unwrap(), *y.iter().max().unwrap());
+            assert_eq!((st.ymin, st.ymax), range, "Y range at step {step}");
+            assert!(st.delta.iter().all(|&d| d == 0), "dirty scratch at step {step}");
             for &yj in &y {
                 if yj >= 0 {
                     hist[yj as usize] += 1;

@@ -11,10 +11,11 @@
 //! * `PppGpuExplorer` (in `lnls-ppp`) — the simulated-GPU path of the
 //!   paper, implementing this same trait.
 //!
-//! Fleet runs fuse several walks' explorations into one launch and
-//! price it through the stream/event model — see
-//! [`BatchedExplorer`](crate::batch::BatchedExplorer), which produces
-//! per-lane fitness vectors bit-identical to [`SequentialExplorer`]'s.
+//! Fleet runs fuse several walks' explorations into one launch: each
+//! lane fills its fitness vector through [`fill_fitness`], bit-identical
+//! to [`SequentialExplorer`]'s, and the fused launch is priced from its
+//! [`FusedShape`](crate::batch::FusedShape) through the stream/event
+//! model.
 
 use crate::bitstring::BitString;
 use crate::problem::IncrementalEval;
@@ -72,8 +73,8 @@ pub trait Explorer<P: IncrementalEval>: Send {
 /// index `lo + i`, for every slot of `out` — the paper's `new_fitness`
 /// array over one contiguous index range.
 ///
-/// The one evaluation loop shared by the host explorers and
-/// [`BatchedExplorer`](crate::batch::BatchedExplorer). The range is
+/// The one evaluation loop shared by the host explorers and the fleet's
+/// fused lanes. The range is
 /// walked row by row ([`Neighborhood::for_each_row_walk`]); each walk
 /// dispatches once on its `k` to a loop monomorphic in that `k`, which
 /// builds every move in place ([`FlipMove::from_array`]) and writes one

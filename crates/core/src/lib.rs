@@ -76,7 +76,7 @@ pub mod tabu;
 pub mod vns;
 
 pub use anneal::{AnnealCursor, SimulatedAnnealing};
-pub use batch::{BatchLane, BatchedExplorer, LaneProfile, SpanPricing};
+pub use batch::{FusedShape, LaneProfile};
 pub use bitstring::{zobrist_table, BitString};
 pub use cursor::{DynCursor, ProblemCursor, SearchCursor};
 pub use explore::{fill_fitness, Explorer, ParallelCpuExplorer, SequentialExplorer};

@@ -179,8 +179,8 @@ impl TabuSearch {
 /// driven through a cursor makes bit-for-bit the moves
 /// [`TabuSearch::run`] makes (which is implemented on top of it).
 ///
-/// For backends that evaluate *several* walks per device launch
-/// (`BatchedExplorer`), the exploration and selection halves are exposed
+/// For backends that evaluate *several* walks per device launch (the
+/// fleet's fused groups), the exploration and selection halves are exposed
 /// separately: evaluate the neighborhood externally into a fitness
 /// vector, then feed it to [`select_and_commit`](Self::select_and_commit).
 ///
@@ -427,8 +427,8 @@ impl<P: IncrementalEval> TabuCursor<P> {
     }
 
     /// The `(solution, state)` pair an external evaluation needs, split
-    /// so both can be borrowed at once (a `BatchLane` holds the solution
-    /// shared and the state mutably).
+    /// so both can be borrowed at once ([`fill_fitness`](crate::fill_fitness)
+    /// reads the solution and mutates the state).
     pub fn explore_parts(&mut self) -> (&BitString, &mut P::State) {
         (&self.s, &mut self.state)
     }

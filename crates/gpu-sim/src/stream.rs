@@ -25,6 +25,7 @@
 //! makespan, engine busy times, and the fully-serialized time for
 //! comparison — the quantity the pipelining ablation reports.
 
+use crate::report::TimeBook;
 use crate::spec::DeviceSpec;
 use crate::timing::transfer_seconds;
 
@@ -382,7 +383,7 @@ impl<'a> StreamSim<'a> {
 }
 
 /// Per-lane PCIe traffic of one fused evaluation iteration (see
-/// [`price_fused_iteration`]).
+/// [`price_fused_span`]).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct LaneIo {
     /// Bytes this lane uploads (solution bits + incremental state).
@@ -392,57 +393,16 @@ pub struct LaneIo {
     pub d2h_bytes: u64,
 }
 
-/// Price one fused multi-lane iteration as a **breadth-first** stream
-/// schedule on `spec` (under [`DeviceSpec::engines`]): every lane's
-/// upload is enqueued first (one stream per lane), then the fused kernel
-/// chain on a dedicated compute stream gated on all uploads by events,
-/// then every lane's readback gated on the kernels. `kernels` is the
-/// dependent kernel chain of the iteration — the fused evaluation
-/// kernel, optionally followed by the on-device argmin reduction — each
-/// entry in modeled seconds *excluding* launch overhead (the stream
-/// model adds it per kernel).
-///
-/// Breadth-first issue matters: on a single-copy-engine part (GT200),
-/// depth-first enqueueing puts each lane's readback in front of the next
-/// lane's upload in the one DMA queue and serializes everything; see
-/// [`IssueOrder`](crate::pipeline::IssueOrder). Under GT200 layouts this
-/// schedule's makespan equals its serialized sum (nothing can overlap
-/// within one dependent iteration); multi-engine layouts overlap the
-/// per-lane copies against each other, and [`Schedule::makespan`] prices
-/// the win.
-///
-/// # Panics
-/// Panics when `lanes` or `kernels` is empty.
-pub fn price_fused_iteration(spec: &DeviceSpec, lanes: &[LaneIo], kernels: &[f64]) -> Schedule {
-    assert!(!lanes.is_empty(), "cannot price an empty fused iteration");
-    assert!(!kernels.is_empty(), "a fused iteration launches at least one kernel");
-    let mut sim = StreamSim::new(spec);
-    let kernel_stream = lanes.len();
-    let mut uploaded = Vec::with_capacity(lanes.len());
-    for (stream, lane) in lanes.iter().enumerate() {
-        sim.h2d(stream, lane.h2d_bytes);
-        let ev = sim.new_event();
-        sim.record_event(stream, ev);
-        uploaded.push(ev);
-    }
-    for ev in uploaded {
-        sim.wait_event(kernel_stream, ev);
-    }
-    for &seconds in kernels {
-        sim.kernel(kernel_stream, seconds);
-    }
-    let done = sim.new_event();
-    sim.record_event(kernel_stream, done);
-    for (stream, lane) in lanes.iter().enumerate() {
-        sim.wait_event(stream, done);
-        sim.d2h(stream, lane.d2h_bytes);
-    }
-    sim.run()
-}
-
 /// Price `n` consecutive fused iterations of the same multi-lane shape
-/// as **one** breadth-first stream/event schedule on `spec` — the
-/// cross-iteration pipelining rung above [`price_fused_iteration`].
+/// as **one** breadth-first stream/event schedule on `spec` (under
+/// [`DeviceSpec::engines`]). `kernels` is the dependent kernel chain of
+/// one iteration — the fused evaluation kernel, optionally followed by
+/// the on-device argmin reduction — each entry in modeled seconds
+/// *excluding* launch overhead (the stream model adds it per kernel).
+/// A single iteration is the span `n = 1` under
+/// [`LaunchMode::PerIteration`]: every lane's upload, the kernel chain
+/// gated on all of them by events, then every lane's readback gated on
+/// the chain — the paper's synchronous loop, fused across lanes.
 ///
 /// Layout (`L = lanes.len()`): each lane uploads on its own stream
 /// `0..L`; the fused kernel chain runs on the dedicated compute stream
@@ -470,14 +430,21 @@ pub fn price_fused_iteration(spec: &DeviceSpec, lanes: &[LaneIo], kernels: &[f64
 /// Issue order is the breadth-first software pipeline: iteration
 /// *k+1*'s uploads are **enqueued before** iteration *k*'s readbacks,
 /// so DMA engines (granted in enqueue order) serve the eager uploads
-/// first and the pipeline actually fills. With `n = 1` and
-/// [`LaunchMode::PerIteration`] the makespan and serialized sum equal
-/// [`price_fused_iteration`]'s exactly. Engine contention stays honest:
-/// a GT200 layout's single DMA queue still serializes H2D against D2H,
-/// but the eager issue order lets it overlap the next iteration's
-/// upload against the current kernel — partial pipelining plus launch
-/// amortization — while multi-engine layouts overlap uploads, kernels
-/// and readbacks of adjacent iterations fully.
+/// first and the pipeline actually fills. Breadth-first issue matters
+/// even inside one iteration: on a single-copy-engine part (GT200),
+/// depth-first enqueueing puts each lane's readback in front of the next
+/// lane's upload in the one DMA queue and serializes everything; see
+/// [`IssueOrder`](crate::pipeline::IssueOrder). Engine contention stays
+/// honest: a GT200 layout's single DMA queue still serializes H2D
+/// against D2H (one iteration's makespan is its serialized sum), but the
+/// eager issue order lets it overlap the next iteration's upload against
+/// the current kernel — partial pipelining plus launch amortization —
+/// while multi-engine layouts overlap the per-lane copies, kernels and
+/// readbacks of adjacent iterations fully.
+///
+/// [`charge_fused_span`] books the same span into a [`TimeBook`]; the
+/// ledger's [`gpu_total_s`](TimeBook::gpu_total_s) is this schedule's
+/// `serialized`.
 ///
 /// # Panics
 /// Panics when `lanes` or `kernels` is empty, or when `n == 0`.
@@ -539,6 +506,61 @@ pub fn price_fused_span(
     sim.run()
 }
 
+/// What one fused span charges to the device ledger (see
+/// [`charge_fused_span`]).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct SpanCharge {
+    /// Per-component busy time of the span's operations: its
+    /// [`gpu_total_s`](TimeBook::gpu_total_s) is the serialized cost,
+    /// and [`launches`](TimeBook::launches) counts the kernel launches
+    /// actually issued.
+    pub book: TimeBook,
+    /// Launch overhead amortized away relative to re-launching every
+    /// iteration (nonzero only under [`LaunchMode::PersistentSpan`]).
+    pub overhead_saved_s: f64,
+}
+
+/// Book `n` consecutive fused iterations of one shape — the span
+/// [`price_fused_span`] schedules — into a [`TimeBook`]: the one place a
+/// span's ledger is built. `host_s` is the modeled sequential-host
+/// seconds of *one* iteration across all lanes.
+///
+/// Every component is the per-iteration lane sum times `n`. Launch
+/// overhead follows `mode`: once per kernel per iteration under
+/// [`LaunchMode::PerIteration`], once per kernel for the whole span under
+/// [`LaunchMode::PersistentSpan`], which saves
+/// `(n−1)·kernels.len()·launch_overhead_s`. A span of zero iterations
+/// books nothing.
+pub fn charge_fused_span(
+    spec: &DeviceSpec,
+    lanes: &[LaneIo],
+    kernels: &[f64],
+    host_s: f64,
+    n: u64,
+    mode: LaunchMode,
+) -> SpanCharge {
+    if n == 0 {
+        return SpanCharge::default();
+    }
+    let per_iter = kernels.len() as u64;
+    let launches = match mode {
+        LaunchMode::PerIteration => per_iter * n,
+        LaunchMode::PersistentSpan => per_iter,
+    };
+    let iters = n as f64;
+    let book = TimeBook {
+        kernel_s: kernels.iter().sum::<f64>() * iters,
+        overhead_s: spec.launch_overhead_s * launches as f64,
+        h2d_s: lanes.iter().map(|l| transfer_seconds(spec, l.h2d_bytes)).sum::<f64>() * iters,
+        d2h_s: lanes.iter().map(|l| transfer_seconds(spec, l.d2h_bytes)).sum::<f64>() * iters,
+        bytes_h2d: lanes.iter().map(|l| l.h2d_bytes).sum::<u64>() * n,
+        bytes_d2h: lanes.iter().map(|l| l.d2h_bytes).sum::<u64>() * n,
+        launches,
+        host_s: host_s * iters,
+    };
+    SpanCharge { book, overhead_saved_s: (per_iter * n - launches) as f64 * spec.launch_overhead_s }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -548,6 +570,11 @@ mod tests {
 
     fn spec() -> DeviceSpec {
         DeviceSpec::gtx280()
+    }
+
+    /// One fused iteration: the span `n = 1` under per-iteration launch.
+    fn single(s: &DeviceSpec, lanes: &[LaneIo], kernels: &[f64]) -> Schedule {
+        price_fused_span(s, lanes, kernels, 1, LaunchMode::PerIteration)
     }
 
     #[test]
@@ -714,7 +741,7 @@ mod tests {
             LaneIo { h2d_bytes: 128, d2h_bytes: 8192 },
             LaneIo { h2d_bytes: 32, d2h_bytes: 2048 },
         ];
-        let sched = price_fused_iteration(&s, &lanes, &[1e-3]);
+        let sched = single(&s, &lanes, &[1e-3]);
         // One copy engine + a dependent chain: nothing can overlap.
         assert!((sched.makespan - sched.serialized).abs() < EPS);
         // Serialized = per-lane transfers + the kernel with its overhead.
@@ -737,7 +764,7 @@ mod tests {
             LaneIo { h2d_bytes: 1 << 16, d2h_bytes: 1 << 16 },
             LaneIo { h2d_bytes: 1 << 16, d2h_bytes: 1 << 16 },
         ];
-        let sched = price_fused_iteration(&s, &lanes, &[5e-4]);
+        let sched = single(&s, &lanes, &[5e-4]);
         assert!(
             sched.makespan < sched.serialized - EPS,
             "dual copy engines must overlap the two lanes' transfers"
@@ -759,7 +786,7 @@ mod tests {
         // launch overhead each.
         let s = spec();
         let lanes = [LaneIo { h2d_bytes: 64, d2h_bytes: 8 }];
-        let sched = price_fused_iteration(&s, &lanes, &[1e-3, 1e-5]);
+        let sched = single(&s, &lanes, &[1e-3, 1e-5]);
         let kernels: Vec<_> =
             sched.ops.iter().filter(|o| matches!(o.op, StreamOp::Kernel { .. })).collect();
         assert_eq!(kernels.len(), 2);
@@ -769,9 +796,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty fused iteration")]
+    #[should_panic(expected = "empty fused span")]
     fn fused_iteration_rejects_empty_batches() {
-        let _ = price_fused_iteration(&spec(), &[], &[1e-3]);
+        let _ = single(&spec(), &[], &[1e-3]);
     }
 
     #[test]
@@ -784,18 +811,6 @@ mod tests {
     }
 
     #[test]
-    fn span_of_one_matches_fused_iteration() {
-        let s = spec();
-        let lanes =
-            [LaneIo { h2d_bytes: 64, d2h_bytes: 4096 }, LaneIo { h2d_bytes: 128, d2h_bytes: 8192 }];
-        let kernels = [1e-3, 1e-5];
-        let single = price_fused_iteration(&s, &lanes, &kernels);
-        let span = price_fused_span(&s, &lanes, &kernels, 1, LaunchMode::PerIteration);
-        assert!((span.makespan - single.makespan).abs() < EPS);
-        assert!((span.serialized - single.serialized).abs() < EPS);
-    }
-
-    #[test]
     fn persistent_span_charges_launch_overhead_once() {
         // Kernel-dominated shape on GT200: transfers (≈12 µs) hide under
         // the 1 ms kernel chain, so the kernel chain is the critical
@@ -805,9 +820,9 @@ mod tests {
         let kernels = [1e-3, 1e-5];
         let n = 5;
         let per = price_fused_span(&s, &lanes, &kernels, n, LaunchMode::PerIteration);
-        let single = price_fused_iteration(&s, &lanes, &kernels);
+        let one = single(&s, &lanes, &kernels);
         assert!(
-            per.makespan < n as f64 * single.makespan - EPS,
+            per.makespan < n as f64 * one.makespan - EPS,
             "even GT200 overlaps the next upload against the current kernel"
         );
         let resident = price_fused_span(&s, &lanes, &kernels, n, LaunchMode::PersistentSpan);
@@ -822,14 +837,14 @@ mod tests {
         let lanes = [LaneIo { h2d_bytes: 1 << 16, d2h_bytes: 1 << 16 }; 2];
         let kernels = [5e-4];
         let n = 3;
-        let single = price_fused_iteration(&s, &lanes, &kernels);
+        let one = single(&s, &lanes, &kernels);
         let span = price_fused_span(&s, &lanes, &kernels, n, LaunchMode::PerIteration);
         assert!(
-            span.makespan < n as f64 * single.makespan - EPS,
+            span.makespan < n as f64 * one.makespan - EPS,
             "cross-iteration pipelining must beat {} back-to-back iterations: {} vs {}",
             n,
             span.makespan,
-            n as f64 * single.makespan
+            n as f64 * one.makespan
         );
         let resident = price_fused_span(&s, &lanes, &kernels, n, LaunchMode::PersistentSpan);
         assert!(resident.makespan < span.makespan + EPS, "residency never hurts");
@@ -860,5 +875,54 @@ mod tests {
     fn span_rejects_zero_iterations() {
         let lanes = [LaneIo { h2d_bytes: 64, d2h_bytes: 64 }];
         let _ = price_fused_span(&spec(), &lanes, &[1e-3], 0, LaunchMode::PerIteration);
+    }
+
+    #[test]
+    fn per_iteration_charge_launches_every_kernel_every_iteration() {
+        let s = spec();
+        let lanes =
+            [LaneIo { h2d_bytes: 64, d2h_bytes: 4096 }, LaneIo { h2d_bytes: 128, d2h_bytes: 8 }];
+        let kernels = [1e-3, 1e-5];
+        let n = 4;
+        let c = charge_fused_span(&s, &lanes, &kernels, 2e-2, n, LaunchMode::PerIteration);
+        assert_eq!(c.book.launches, 2 * n);
+        assert_eq!(c.overhead_saved_s, 0.0);
+        assert!((c.book.overhead_s - 8.0 * s.launch_overhead_s).abs() < EPS);
+        assert_eq!(c.book.bytes_h2d, (64 + 128) * n);
+        assert_eq!(c.book.bytes_d2h, (4096 + 8) * n);
+        assert!((c.book.kernel_s - (1e-3 + 1e-5) * 4.0).abs() < EPS);
+        assert!((c.book.host_s - 8e-2).abs() < EPS);
+        let h2d = transfer_seconds(&s, 64) + transfer_seconds(&s, 128);
+        assert!((c.book.h2d_s - h2d * 4.0).abs() < EPS);
+    }
+
+    #[test]
+    fn persistent_charge_saves_all_but_the_first_launch_chain() {
+        let s = spec();
+        let lanes = [LaneIo { h2d_bytes: 64, d2h_bytes: 64 }; 3];
+        let kernels = [1e-3, 1e-5];
+        let n = 5;
+        let per = charge_fused_span(&s, &lanes, &kernels, 1e-2, n, LaunchMode::PerIteration);
+        let res = charge_fused_span(&s, &lanes, &kernels, 1e-2, n, LaunchMode::PersistentSpan);
+        assert_eq!(res.book.launches, 2, "one launch per kernel position for the whole span");
+        let saved = (n - 1) as f64 * kernels.len() as f64 * s.launch_overhead_s;
+        assert!((res.overhead_saved_s - saved).abs() < EPS);
+        assert!((per.book.overhead_s - res.book.overhead_s - saved).abs() < EPS);
+        // Residency is launch amortization only: bytes, transfers, kernel
+        // and host seconds book identically.
+        assert_eq!(
+            (res.book.bytes_h2d, res.book.bytes_d2h),
+            (per.book.bytes_h2d, per.book.bytes_d2h)
+        );
+        assert_eq!(res.book.bytes_h2d, 3 * 64 * n);
+        assert_eq!((res.book.h2d_s, res.book.d2h_s), (per.book.h2d_s, per.book.d2h_s));
+        assert_eq!((res.book.kernel_s, res.book.host_s), (per.book.kernel_s, per.book.host_s));
+    }
+
+    #[test]
+    fn empty_span_charges_nothing() {
+        let lanes = [LaneIo { h2d_bytes: 64, d2h_bytes: 64 }];
+        let c = charge_fused_span(&spec(), &lanes, &[1e-3], 1.0, 0, LaunchMode::PersistentSpan);
+        assert_eq!(c, SpanCharge::default());
     }
 }

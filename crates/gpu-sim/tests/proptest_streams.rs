@@ -1,18 +1,23 @@
 //! Property-based tests of the stream-overlap invariants behind the
-//! fleet's fused-batch pricing (`price_fused_iteration`): a breadth-
-//! first schedule's makespan never exceeds the serialized sum of its
+//! fleet's fused-span pricing (`price_fused_span`; one fused iteration
+//! is the span `n = 1`): a breadth-first schedule's makespan never exceeds the serialized sum of its
 //! operations, equals it on the GT200 single-engine layout (where
 //! nothing inside one dependent fused iteration can overlap), and is
 //! strictly smaller for a two-lane fused batch under a Fermi-class
 //! layout (dual copy engines overlap the per-lane transfers).
 
 use lnls_gpu_sim::{
-    price_fused_iteration, price_fused_span, transfer_seconds, DeviceSpec, EngineConfig, LaneIo,
-    LaunchMode, StreamOp,
+    price_fused_span, transfer_seconds, DeviceSpec, EngineConfig, LaneIo, LaunchMode, Schedule,
+    StreamOp,
 };
 use proptest::prelude::*;
 
 const EPS: f64 = 1e-12;
+
+/// One fused iteration: the span `n = 1` under per-iteration launch.
+fn single(spec: &DeviceSpec, lanes: &[LaneIo], kernels: &[f64]) -> Schedule {
+    price_fused_span(spec, lanes, kernels, 1, LaunchMode::PerIteration)
+}
 
 fn lanes_strategy() -> impl Strategy<Value = Vec<(u64, u64)>> {
     prop::collection::vec((0u64..1 << 20, 0u64..1 << 20), 1..8)
@@ -42,7 +47,7 @@ proptest! {
         if argmin_us > 0 {
             kernels.push(argmin_us as f64 * 1e-6);
         }
-        let sched = price_fused_iteration(&spec, &lanes, &kernels);
+        let sched = single(&spec, &lanes, &kernels);
 
         prop_assert!(sched.makespan <= sched.serialized + EPS);
         prop_assert!(sched.makespan >= sched.copy_busy / copy_engines as f64 - EPS);
@@ -76,7 +81,7 @@ proptest! {
         if with_argmin {
             kernels.push(2e-6);
         }
-        let sched = price_fused_iteration(&spec, &lanes, &kernels);
+        let sched = single(&spec, &lanes, &kernels);
         prop_assert!(
             (sched.makespan - sched.serialized).abs() < EPS,
             "GT200 must serialize the whole fused iteration: makespan {} vs serialized {}",
@@ -98,7 +103,7 @@ proptest! {
     ) {
         let spec = DeviceSpec::gtx280().with_engines(EngineConfig::fermi());
         let lanes = [LaneIo { h2d_bytes: h2d, d2h_bytes: d2h }; 2];
-        let sched = price_fused_iteration(&spec, &lanes, &[kernel_us as f64 * 1e-6]);
+        let sched = single(&spec, &lanes, &[kernel_us as f64 * 1e-6]);
         prop_assert!(
             sched.makespan < sched.serialized - EPS,
             "two-lane fermi batch must overlap: makespan {} vs serialized {}",
@@ -143,10 +148,10 @@ proptest! {
         if argmin_us > 0 {
             kernels.push(argmin_us as f64 * 1e-6);
         }
-        let single = price_fused_iteration(&spec, &lanes, &kernels);
+        let one = single(&spec, &lanes, &kernels);
         let per = price_fused_span(&spec, &lanes, &kernels, n, LaunchMode::PerIteration);
         let resident = price_fused_span(&spec, &lanes, &kernels, n, LaunchMode::PersistentSpan);
-        let bound = n as f64 * single.makespan;
+        let bound = n as f64 * one.makespan;
         prop_assert!(
             per.makespan <= bound + EPS,
             "span must never exceed per-iteration pricing: {} vs {}",
@@ -176,14 +181,14 @@ proptest! {
         let kernels = [kernel_us as f64 * 1e-6];
         let mode =
             if persistent { LaunchMode::PersistentSpan } else { LaunchMode::PerIteration };
-        let single = price_fused_iteration(&spec, &lanes, &kernels);
+        let one = single(&spec, &lanes, &kernels);
         let span = price_fused_span(&spec, &lanes, &kernels, n, mode);
         prop_assert!(
-            span.makespan < n as f64 * single.makespan - EPS,
+            span.makespan < n as f64 * one.makespan - EPS,
             "a {}-iteration fermi span must strictly pipeline: {} vs {}",
             n,
             span.makespan,
-            n as f64 * single.makespan
+            n as f64 * one.makespan
         );
     }
 }

@@ -150,14 +150,19 @@ impl QapInstance {
         let mut nums = text
             .split_whitespace()
             .map(|t| t.parse::<i64>().map_err(|e| format!("bad token {t:?}: {e}")));
-        let n = nums.next().ok_or("empty input")?? as usize;
-        if n < 2 {
-            return Err(format!("n = {n} too small"));
-        }
+        let n = nums.next().ok_or("empty input")??;
+        let (n, cells) = usize::try_from(n)
+            .ok()
+            .and_then(|n| Some((n, matrix_cells(n)?)))
+            .ok_or_else(|| format!("implausible QAP size {n}"))?;
         let mut take = |what: &str| -> Result<Vec<i64>, String> {
-            let mut m = Vec::with_capacity(n * n);
-            for k in 0..n * n {
-                m.push(nums.next().ok_or(format!("{what} truncated at entry {k}"))??);
+            let mut m = Vec::with_capacity(cells);
+            for k in 0..cells {
+                let x = nums.next().ok_or(format!("{what} truncated at entry {k}"))??;
+                if x < 0 {
+                    return Err(format!("{what} entry {k} is negative"));
+                }
+                m.push(x);
             }
             Ok(m)
         };
@@ -207,6 +212,13 @@ impl QapInstance {
     }
 }
 
+/// Entries of one `n × n` matrix, or `None` when `n` is not a plausible
+/// instance size: below two facilities, or so large that `n²` overflows
+/// or is an absurd allocation (decoders bound it like `Qubo::read`).
+fn matrix_cells(n: usize) -> Option<usize> {
+    (2..=1 << 14).contains(&n).then(|| n.checked_mul(n)).flatten()
+}
+
 impl Persist for QapInstance {
     fn write(&self, out: &mut Vec<u8>) {
         self.n.write(out);
@@ -215,9 +227,11 @@ impl Persist for QapInstance {
     }
     fn read(r: &mut lnls_core::Reader<'_>) -> Result<Self, lnls_core::PersistError> {
         let n: usize = r.read()?;
+        let cells = matrix_cells(n)
+            .ok_or_else(|| lnls_core::PersistError::new(format!("implausible QAP size {n}")))?;
         let f: Vec<i64> = r.read()?;
         let d: Vec<i64> = r.read()?;
-        if n < 2 || f.len() != n * n || d.len() != n * n {
+        if f.len() != cells || d.len() != cells {
             return Err(lnls_core::PersistError("malformed QAP instance".into()));
         }
         if f.iter().chain(&d).any(|&x| x < 0) {
@@ -295,6 +309,31 @@ mod tests {
         // uniform generator generally is not
         let inst2 = QapInstance::random_uniform(&mut rng, 12);
         let _ = inst2.is_symmetric(); // no assertion — just must not panic
+    }
+
+    #[test]
+    fn read_rejects_sizes_whose_square_overflows() {
+        for n in [0u64, 1, (1 << 14) + 1, 1 << 32, u64::MAX] {
+            let mut bytes = Vec::new();
+            n.write(&mut bytes);
+            Vec::<i64>::new().write(&mut bytes);
+            Vec::<i64>::new().write(&mut bytes);
+            let err = QapInstance::read(&mut lnls_core::Reader::new(&bytes)).unwrap_err();
+            assert!(err.0.contains("implausible QAP size"), "n = {n}: {err:?}");
+        }
+        let inst = tiny();
+        let mut bytes = Vec::new();
+        inst.write(&mut bytes);
+        assert_eq!(QapInstance::read(&mut lnls_core::Reader::new(&bytes)).unwrap(), inst);
+    }
+
+    #[test]
+    fn parse_rejects_implausible_sizes_and_negative_entries() {
+        for text in ["-3 1 2", "4294967296", "1 0 0"] {
+            assert!(QapInstance::parse(text).unwrap_err().contains("implausible"), "{text}");
+        }
+        let negative = "2\n0 1 1 0\n0 -1 1 0\n";
+        assert!(QapInstance::parse(negative).unwrap_err().contains("negative"));
     }
 
     #[test]

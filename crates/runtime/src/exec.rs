@@ -5,7 +5,7 @@
 //! disk snapshots), and — when two erased jobs report the same
 //! [`BatchKey`] — fusable. The key embeds the concrete Rust type
 //! (`TypeId`), so a leader may downcast its batch peers to its own type
-//! and drive them through one [`BatchedExplorer`] pass.
+//! and drive them as the lanes of one fused span.
 //!
 //! Every executor is a thin shell around a [`SearchCursor`]
 //! (`TabuCursor` for binary jobs, `RtsCursor` for QAP jobs, an
@@ -24,12 +24,12 @@ use crate::job::{JobId, JobOutcome, JobReport};
 use crate::submit::SubmitCtx;
 use lnls_core::persist::{Persist, PersistError, PersistTag, Reader};
 use lnls_core::{
-    AnnealCursor, BatchLane, BatchedExplorer, DynCursor, Explorer, IncrementalEval, LaneProfile,
+    fill_fitness, AnnealCursor, DynCursor, Explorer, FusedShape, IncrementalEval, LaneProfile,
     ProblemCursor, SearchCursor, SequentialExplorer, TabuCursor,
 };
 use lnls_gpu_sim::{
-    argmin_kernel_seconds, price_fused_span, transfer_seconds, Device, DeviceSpec, HostSpec,
-    LaneIo, LaunchMode, SelectionMode, TimeBook, ARGMIN_RECORD_BYTES,
+    argmin_kernel_seconds, charge_fused_span, price_fused_span, transfer_seconds, Device,
+    DeviceSpec, HostSpec, LaneIo, LaunchMode, SelectionMode, TimeBook, ARGMIN_RECORD_BYTES,
 };
 use lnls_neighborhood::Neighborhood;
 use lnls_qap::{GpuSwapEvaluator, QapInstance, RtsCursor, SwapEvaluator, TableEvaluator};
@@ -269,32 +269,31 @@ where
     }
 
     fn step_device(&mut self, dev: &mut Device, quota: u64) -> StepRun {
-        // Each iteration is one single-lane fused launch: same stream
+        // Each iteration is a one-lane span of one iteration: the stream
         // pricing the multi-tenant path charges, minus the amortization.
+        // The shape is fixed for the step, so it is priced once; the
+        // ledger still adds one iteration at a time, in order, which is
+        // what keeps its bits equal to charging every launch on its own.
         let spec = dev.spec().clone();
-        let prof = self.profile(&spec);
-        let mut bex = BatchedExplorer::new(self.hood.clone(), spec);
-        let mut iters = 0;
-        while iters < quota && !self.cursor.is_done() {
-            {
-                let (s, state) = self.cursor.explore_parts();
-                let mut lanes = [BatchLane {
-                    problem: &*self.problem,
-                    s,
-                    state,
-                    out: &mut self.out,
-                    profile: prof,
-                    selection: self.selection,
-                }];
-                bex.explore_batch(&mut lanes);
-            }
+        let m = self.hood.size();
+        let shape = FusedShape::new(&spec, m, [(self.profile(&spec), self.selection)]);
+        let mode = LaunchMode::PerIteration;
+        let sched = price_fused_span(&spec, &shape.io, &shape.kernels, 1, mode);
+        let charge = charge_fused_span(&spec, &shape.io, &shape.kernels, shape.host_s, 1, mode);
+        let mut book = TimeBook::default();
+        let mut run = StepRun::default();
+        while run.iters < quota && !self.cursor.is_done() {
+            self.out.resize(m as usize, 0);
+            let (s, state) = self.cursor.explore_parts();
+            fill_fitness(&self.hood, &*self.problem, s, state, 0, &mut self.out);
             self.cursor.select_and_commit(&*self.problem, &self.hood, &self.out);
-            iters += 1;
+            book.add(&charge.book);
+            run.seconds += sched.makespan;
+            run.serialized_s += sched.serialized;
+            run.iters += 1;
         }
-        let seconds = bex.stream_makespan_s();
-        let serialized_s = bex.stream_serialized_s();
-        dev.charge(bex.book());
-        StepRun { iters, seconds, serialized_s, ..StepRun::default() }
+        dev.charge(&book);
+        run
     }
 
     fn step_host(&mut self, host: &HostSpec, quota: u64) -> StepRun {
@@ -324,7 +323,6 @@ where
         mode: LaunchMode,
     ) -> StepRun {
         let spec = dev.spec().clone();
-        let prof = self.profile(&spec);
         let mut typed: Vec<&mut Self> = peers
             .iter_mut()
             .map(|p| {
@@ -333,45 +331,32 @@ where
                     .expect("batch key embeds TypeId; peers must share the leader's type")
             })
             .collect();
-        let peer_profiles: Vec<LaneProfile> = typed.iter().map(|t| t.profile(&spec)).collect();
 
         // Selection is per lane: each member's effective mode — the
         // fleet default or its own JobSpec override — prices its slice
-        // of the fused readback. The span accumulates up to `span_iters`
-        // such iterations and prices them as one double-buffered stream
+        // of the fused readback. Membership is fixed for the span, so
+        // its shape is built once. The span runs up to `span_iters`
+        // iterations and prices them as one double-buffered stream
         // schedule; the commits in between are pure host work on
         // already-downloaded fitness, so deferring the pricing changes
         // nothing the walks can observe.
-        let mut bex = BatchedExplorer::new(self.hood.clone(), spec);
-        bex.begin_span(mode);
+        let m = self.hood.size();
+        let lanes = std::iter::once((self.profile(&spec), self.selection))
+            .chain(typed.iter().map(|t| (t.profile(&spec), t.selection)));
+        let shape = FusedShape::new(&spec, m, lanes);
         let fused = !typed.is_empty();
         let budget = span_iters.max(1);
         let mut iters = 0;
         loop {
-            {
-                let mut lanes: Vec<BatchLane<'_, P>> = Vec::with_capacity(1 + typed.len());
-                let (s, state) = self.cursor.explore_parts();
-                lanes.push(BatchLane {
-                    problem: &*self.problem,
-                    s,
-                    state,
-                    out: &mut self.out,
-                    profile: prof,
-                    selection: self.selection,
-                });
-                for (t, p) in typed.iter_mut().zip(&peer_profiles) {
-                    let selection = t.selection;
-                    let (s, state) = t.cursor.explore_parts();
-                    lanes.push(BatchLane {
-                        problem: &*t.problem,
-                        s,
-                        state,
-                        out: &mut t.out,
-                        profile: *p,
-                        selection,
-                    });
-                }
-                bex.explore_span(&mut lanes);
+            // Every lane walks the leader's neighborhood: the batch key
+            // pins its size and radius.
+            self.out.resize(m as usize, 0);
+            let (s, state) = self.cursor.explore_parts();
+            fill_fitness(&self.hood, &*self.problem, s, state, 0, &mut self.out);
+            for t in typed.iter_mut() {
+                t.out.resize(m as usize, 0);
+                let (s, state) = t.cursor.explore_parts();
+                fill_fitness(&self.hood, &*t.problem, s, state, 0, &mut t.out);
             }
             self.cursor.select_and_commit(&*self.problem, &self.hood, &self.out);
             if fused {
@@ -387,14 +372,15 @@ where
                 break;
             }
         }
-        let pricing = bex.finish_span();
-        dev.charge(bex.book());
+        let sched = price_fused_span(&spec, &shape.io, &shape.kernels, iters as usize, mode);
+        let charge = charge_fused_span(&spec, &shape.io, &shape.kernels, shape.host_s, iters, mode);
+        dev.charge(&charge.book);
         StepRun {
             iters,
-            seconds: pricing.makespan_s,
-            serialized_s: pricing.serialized_s,
+            seconds: sched.makespan,
+            serialized_s: sched.serialized,
             spans: 1,
-            launch_overhead_saved_s: pricing.overhead_saved_s,
+            launch_overhead_saved_s: charge.overhead_saved_s,
         }
     }
 
@@ -894,19 +880,16 @@ where
         // per-sample upload, launch overhead, one-neighbor kernel,
         // one-fitness readback — the same accounting a fused batch uses,
         // at width one.
-        let h2d_s = transfer_seconds(&spec, prof.h2d_bytes);
-        let d2h_s = transfer_seconds(&spec, prof.d2h_bytes);
-        let n = iters as f64;
-        let book = TimeBook {
-            kernel_s: prof.kernel_seconds * n,
-            overhead_s: spec.launch_overhead_s * n,
-            h2d_s: h2d_s * n,
-            d2h_s: d2h_s * n,
-            bytes_h2d: prof.h2d_bytes * iters,
-            bytes_d2h: prof.d2h_bytes * iters,
-            launches: iters,
-            host_s: prof.host_seconds * n,
-        };
+        let lane = [LaneIo { h2d_bytes: prof.h2d_bytes, d2h_bytes: prof.d2h_bytes }];
+        let book = charge_fused_span(
+            &spec,
+            &lane,
+            &[prof.kernel_seconds],
+            prof.host_seconds,
+            iters,
+            LaunchMode::PerIteration,
+        )
+        .book;
         let seconds = book.gpu_total_s();
         dev.charge(&book);
         // Single-neighbor launches are one dependent chain each; the
@@ -976,28 +959,14 @@ where
             }
         }
         let sched = price_fused_span(&spec, &lanes, &[kernel_s], iters as usize, mode);
-        let launches = match mode {
-            LaunchMode::PerIteration => iters,
-            LaunchMode::PersistentSpan => 1,
-        };
-        let n = iters as f64;
-        let book = TimeBook {
-            kernel_s: kernel_s * n,
-            overhead_s: spec.launch_overhead_s * launches as f64,
-            h2d_s: lanes.iter().map(|l| transfer_seconds(&spec, l.h2d_bytes)).sum::<f64>() * n,
-            d2h_s: lanes.iter().map(|l| transfer_seconds(&spec, l.d2h_bytes)).sum::<f64>() * n,
-            bytes_h2d: lanes.iter().map(|l| l.h2d_bytes).sum::<u64>() * iters,
-            bytes_d2h: lanes.iter().map(|l| l.d2h_bytes).sum::<u64>() * iters,
-            launches,
-            host_s: host_per_iter * n,
-        };
-        dev.charge(&book);
+        let charge = charge_fused_span(&spec, &lanes, &[kernel_s], host_per_iter, iters, mode);
+        dev.charge(&charge.book);
         StepRun {
             iters,
             seconds: sched.makespan,
             serialized_s: sched.serialized,
             spans: 1,
-            launch_overhead_saved_s: (iters - launches) as f64 * spec.launch_overhead_s,
+            launch_overhead_saved_s: charge.overhead_saved_s,
         }
     }
 

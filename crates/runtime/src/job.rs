@@ -11,7 +11,9 @@
 //!
 //! ```
 //! use lnls_core::persist::{Persist, PersistError, Reader};
-//! use lnls_gpu_sim::{transfer_seconds, Device, DeviceSpec, HostSpec, TimeBook};
+//! use lnls_gpu_sim::{
+//!     charge_fused_span, Device, DeviceSpec, HostSpec, LaneIo, LaunchMode, TimeBook,
+//! };
 //! use lnls_runtime::{
 //!     BatchKey, FleetCheckpoint, JobCodec, JobExec, JobId, JobOutcome, JobRegistry, JobReport,
 //!     Scheduler, SchedulerConfig, SearchJob, StepRun, SubmitCtx,
@@ -31,17 +33,15 @@
 //! }
 //!
 //! impl CountdownExec {
-//!     /// One iteration = one tiny launch: fixed overhead plus an
-//!     /// 8-byte upload (toy numbers; real executors derive this from
-//!     /// the neighborhood size, e.g. via `lnls_core::LaneProfile`).
-//!     fn iter_book(spec: &lnls_gpu_sim::DeviceSpec, iters: u64) -> TimeBook {
-//!         TimeBook {
-//!             overhead_s: spec.launch_overhead_s * iters as f64,
-//!             h2d_s: transfer_seconds(spec, 8) * iters as f64,
-//!             bytes_h2d: 8 * iters,
-//!             launches: iters,
-//!             ..TimeBook::default()
-//!         }
+//!     /// One iteration = one tiny single-lane launch: an 8-byte upload,
+//!     /// an empty kernel (launch overhead only) and an 8-byte readback
+//!     /// (toy numbers; real executors derive the shape from the
+//!     /// neighborhood size, e.g. via `lnls_core::LaneProfile`). The
+//!     /// ledger comes from `charge_fused_span`, the one way a span of
+//!     /// launches is charged.
+//!     fn iter_book(spec: &DeviceSpec, iters: u64) -> TimeBook {
+//!         let lane = [LaneIo { h2d_bytes: 8, d2h_bytes: 8 }];
+//!         charge_fused_span(spec, &lane, &[0.0], 0.0, iters, LaunchMode::PerIteration).book
 //!     }
 //! }
 //!
@@ -77,7 +77,7 @@
 //!         peers: &mut [&mut Box<dyn JobExec>],
 //!         dev: &mut Device,
 //!         span_iters: u64,
-//!         _mode: lnls_gpu_sim::LaunchMode,
+//!         _mode: LaunchMode,
 //!     ) -> StepRun {
 //!         assert!(peers.is_empty(), "batch_key() is None, so no peers ever arrive");
 //!         self.step_device(dev, span_iters.max(1))

@@ -40,12 +40,16 @@
 //!   per-device utilization come out of one consistent ledger.
 //! * **Launch batching with stream-overlapped pricing**: queued jobs
 //!   sharing a problem family and neighborhood fuse their per-iteration
-//!   evaluations into one larger simulated launch (driven by
-//!   [`BatchedExplorer`](lnls_core::BatchedExplorer)), amortizing launch
+//!   evaluations into one larger simulated launch (its cost shape is a
+//!   [`FusedShape`](lnls_core::FusedShape)), amortizing launch
 //!   overhead — the paper's large-neighborhood effect applied across
-//!   tenants instead of within one search. Each fused iteration is
-//!   priced as a breadth-first stream schedule under the device's engine
-//!   layout ([`DeviceSpec::engines`](lnls_gpu_sim::DeviceSpec)): on the
+//!   tenants instead of within one search. Each fused span is priced as
+//!   a breadth-first stream schedule
+//!   ([`price_fused_span`](lnls_gpu_sim::price_fused_span)) under the
+//!   device's engine layout
+//!   ([`DeviceSpec::engines`](lnls_gpu_sim::DeviceSpec)) and booked
+//!   into the device ledger by
+//!   [`charge_fused_span`](lnls_gpu_sim::charge_fused_span): on the
 //!   paper's GT200 the makespan equals the serial sum, while multi-engine
 //!   layouts overlap per-lane copies and the fleet clock charges the
 //!   (smaller) makespan. [`FleetReport::stream_overlap_factor`] reports

@@ -20,7 +20,7 @@ use crate::submit::{JobCodec, SearchJob, SubmitCtx};
 use lnls_core::persist::{Persist, PersistError, PersistTag, Reader};
 use lnls_core::{BitString, DynCursor, IncrementalEval, LaneProfile, ProblemCursor};
 use lnls_gpu_sim::{
-    price_fused_span, transfer_seconds, Device, DeviceSpec, HostSpec, LaneIo, LaunchMode, TimeBook,
+    charge_fused_span, price_fused_span, Device, DeviceSpec, HostSpec, LaneIo, LaunchMode,
 };
 use lnls_lns::{LnsCursor, LnsSearch, PortfolioCursor, PortfolioSearch};
 use lnls_neighborhood::Neighborhood;
@@ -212,30 +212,15 @@ where
             // additive across the fused grid).
             let kernel_s = prof.kernel_seconds * lanes_n as f64;
             let sched = price_fused_span(&spec, &lanes, &[kernel_s], inner as usize, mode);
-            let launches = match mode {
-                LaunchMode::PerIteration => inner,
-                LaunchMode::PersistentSpan => 1,
-            };
-            let n = inner as f64;
-            let h2d_one: f64 = lanes.iter().map(|l| transfer_seconds(&spec, l.h2d_bytes)).sum();
-            let d2h_one: f64 = lanes.iter().map(|l| transfer_seconds(&spec, l.d2h_bytes)).sum();
-            let book = TimeBook {
-                kernel_s: kernel_s * n,
-                overhead_s: spec.launch_overhead_s * launches as f64,
-                h2d_s: h2d_one * n,
-                d2h_s: d2h_one * n,
-                bytes_h2d: lanes.iter().map(|l| l.h2d_bytes).sum::<u64>() * inner,
-                bytes_d2h: lanes.iter().map(|l| l.d2h_bytes).sum::<u64>() * inner,
-                launches,
-                host_s: prof.host_seconds * lanes_n as f64 * n,
-            };
-            dev.charge(&book);
+            let host_s = prof.host_seconds * lanes_n as f64;
+            let charge = charge_fused_span(&spec, &lanes, &[kernel_s], host_s, inner, mode);
+            dev.charge(&charge.book);
             self.serial_s += prof.solo_seconds(&spec) * (lanes_n as u64 * inner) as f64;
             run.iters += 1;
             run.seconds += sched.makespan;
             run.serialized_s += sched.serialized;
             run.spans += 1;
-            run.launch_overhead_saved_s += (inner - launches) as f64 * spec.launch_overhead_s;
+            run.launch_overhead_saved_s += charge.overhead_saved_s;
         }
         run
     }
@@ -611,42 +596,24 @@ where
                 break;
             }
             let sched = price_fused_span(&spec, &lanes, &kernels, ran as usize, mode);
-            let per_iter = kernels.len() as u64;
-            let launches = match mode {
-                LaunchMode::PerIteration => ran * per_iter,
-                LaunchMode::PersistentSpan => per_iter,
-            };
-            let n = ran as f64;
-            let h2d_one: f64 = lanes.iter().map(|l| transfer_seconds(&spec, l.h2d_bytes)).sum();
-            let d2h_one: f64 = lanes.iter().map(|l| transfer_seconds(&spec, l.d2h_bytes)).sum();
             let host_one: f64 = profs
                 .iter()
                 .enumerate()
                 .map(|(i, p)| p.host_seconds * self.substeps(i, leader) as f64)
                 .sum();
-            let book = TimeBook {
-                kernel_s: kernels.iter().sum::<f64>() * n,
-                overhead_s: spec.launch_overhead_s * launches as f64,
-                h2d_s: h2d_one * n,
-                d2h_s: d2h_one * n,
-                bytes_h2d: lanes.iter().map(|l| l.h2d_bytes).sum::<u64>() * ran,
-                bytes_d2h: lanes.iter().map(|l| l.d2h_bytes).sum::<u64>() * ran,
-                launches,
-                host_s: host_one * n,
-            };
-            dev.charge(&book);
+            let charge = charge_fused_span(&spec, &lanes, &kernels, host_one, ran, mode);
+            dev.charge(&charge.book);
             self.serial_s += profs
                 .iter()
                 .enumerate()
                 .map(|(i, p)| p.solo_seconds(&spec) * self.substeps(i, leader) as f64)
                 .sum::<f64>()
-                * n;
+                * ran as f64;
             run.iters += ran;
             run.seconds += sched.makespan;
             run.serialized_s += sched.serialized;
             run.spans += 1;
-            run.launch_overhead_saved_s +=
-                (ran * per_iter - launches) as f64 * spec.launch_overhead_s;
+            run.launch_overhead_saved_s += charge.overhead_saved_s;
         }
         run
     }

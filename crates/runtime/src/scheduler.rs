@@ -203,7 +203,7 @@ impl StolenJob {
 /// `cpu_workers` host workers. Each backend executes one assignment at a
 /// time; a device assignment may be a *fused group* of up to `max_batch`
 /// jobs sharing a batch key, whose per-iteration evaluations ride in one
-/// launch (see [`lnls_core::BatchedExplorer`]).
+/// launch (see [`lnls_core::FusedShape`]).
 ///
 /// With [`SchedulerConfig::quantum_iters`] set, assignments are time
 /// slices: a job that exhausts its quantum is preempted back into the

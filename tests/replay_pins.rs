@@ -1,7 +1,9 @@
 //! Golden pins for the replay driver: every catalog scenario plus the
 //! closed-loop recorder, recorded at one fixed seed, must produce the
 //! exact trace bytes, fleet-report bits and driver counters captured
-//! below.
+//! below. The checkpoint formats are pinned the same way: every full
+//! checkpoint and every delta segment written while a catalog trace
+//! replays, one snapshot per tick.
 //!
 //! The other determinism tests compare one run of the driver with
 //! another (record vs. replay, serial vs. parallel), so a change that
@@ -14,16 +16,17 @@
 //! there.
 #![cfg(all(target_arch = "x86_64", target_os = "linux"))]
 
-use lnls::prelude::{Driver, Scenario};
+use common::{fnv1a64_fold, ChainDigests, FNV_OFFSET};
+use lnls::prelude::{Driver, Scenario, TrafficGen};
+
+mod common;
 
 /// The one lowering seed every pin was captured at.
 const SEED: u64 = 42;
 
 /// Plain FNV-1a, 64-bit.
 fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    fnv1a64_fold(FNV_OFFSET, bytes)
 }
 
 /// `(scenario, trace digest, report digest, (ticks, admitted, bounced, crashes))`.
@@ -61,4 +64,45 @@ fn every_scenario_replays_onto_its_pinned_bits() {
             got.0, got.0, got.1, got.2, got.3
         );
     }
+}
+
+/// `(scenario, snapshots, full-checkpoint digest, segment digest)`.
+type ChainPin = (&'static str, u64, u64, u64);
+
+const CHAIN_PINS: &[ChainPin] = &[
+    ("steady", 77, 0xb304e022bc680367, 0x630ac0de72ae979b),
+    ("burst", 111, 0x3a5f37ec062b34b2, 0x9bedfcdc76678c57),
+    ("priority-inversion", 53, 0x405bc2dc23ca27e2, 0x091e17e5af42e8a7),
+    ("deadline-heavy", 119, 0x51bbf0c09d9fe0c0, 0xd59a15d6053a1a7d),
+    ("checkpoint-churn", 41, 0x5ddb6c8ce586d4fd, 0x01d86294c703a176),
+    ("saturation", 56, 0xc7fb24730c644b8a, 0xd35dbf22a5540218),
+    ("lns-repair", 59, 0xe9560f0f589a02af, 0xbd06008d2fbd5d33),
+    ("portfolio-race", 29, 0x346f00521fa4d85b, 0xda9d9dca11e3dd42),
+    ("saturation-sharded", 126, 0x133e3a6b836db8b2, 0x3181a6d8563a8191),
+];
+
+/// The chain agreeing with the full checkpoint (checked inside the
+/// harness) cannot catch a change that moves both encoders the same
+/// way; these digests can.
+#[test]
+fn every_checkpoint_and_delta_segment_keeps_its_pinned_bytes() {
+    let scenarios = Scenario::catalog();
+    assert_eq!(scenarios.len(), CHAIN_PINS.len(), "one chain pin per catalog scenario");
+    let mut failures = Vec::new();
+    for (scenario, want) in scenarios.iter().zip(CHAIN_PINS) {
+        let trace = TrafficGen::lower(scenario, SEED);
+        let dir = std::env::temp_dir().join(format!(
+            "lnls-pins-{}-{}",
+            scenario.name,
+            std::process::id()
+        ));
+        let ChainDigests { snapshots, checkpoints, segments } =
+            common::replay_with_delta_chain(&trace, &dir);
+        let got = (scenario.name.as_str(), snapshots, checkpoints, segments);
+        if got != *want {
+            failures
+                .push(format!("    ({:?}, {}, {:#018x}, {:#018x}),", got.0, got.1, got.2, got.3));
+        }
+    }
+    assert!(failures.is_empty(), "checkpoint bytes moved off their pins:\n{}", failures.join("\n"));
 }

@@ -5,7 +5,12 @@
 //! ## Format
 //!
 //! An 8-byte magic (`LNLSFLT` + version), then the scheduler state in
-//! field order through the [`lnls_core::persist`] codec. Jobs are
+//! field order through the [`lnls_core::persist`] codec. The records
+//! the delta format shares are encoded here once each: the
+//! `FleetCounters` block and `JobMeta` (both `Persist`), the metadata
+//! map and the cancel set (`write_meta`/`read_meta_into`,
+//! `write_cancels`/`read_cancels`), job payloads (`encode_job`) and
+//! reports (`write_report`/`read_report`). Jobs are
 //! type-erased in memory, so each one is written as a **tag** (its
 //! [`PersistTag`]-derived registry key) plus a length-prefixed payload;
 //! loading looks the tag up in a [`JobRegistry`] to find the concrete
@@ -27,7 +32,7 @@ use crate::delta::CheckpointError;
 use crate::exec::JobExec;
 use crate::job::{AnnealJob, BinaryJob, JobId, JobOutcome, JobReport, QapJobSpec};
 use crate::lns::{LnsJob, PortfolioJob};
-use crate::scheduler::{ActiveJob, ActiveSnapshot, FleetCheckpoint, JobMeta, QueueEntry};
+use crate::scheduler::{Active, ActiveJob, FleetCheckpoint, FleetCounters, JobMeta, QueueEntry};
 use crate::submit::JobCodec;
 use crate::{PlacePolicy, SchedulerConfig};
 use lnls_core::persist::{Persist, PersistError, Reader};
@@ -253,6 +258,105 @@ pub(crate) fn read_report(r: &mut Reader<'_>) -> Result<JobReport, PersistError>
     })
 }
 
+/// The twelve counters, contiguous and in field order: the one block
+/// both the full and the delta format carry.
+impl Persist for FleetCounters {
+    fn write(&self, out: &mut Vec<u8>) {
+        self.serialized_s.write(out);
+        self.fused_launches.write(out);
+        self.launches_saved.write(out);
+        self.preemptions.write(out);
+        self.ticks.write(out);
+        self.autosaves.write(out);
+        self.iterations_executed.write(out);
+        self.stream_makespan_s.write(out);
+        self.stream_serialized_s.write(out);
+        self.spans.write(out);
+        self.span_iterations.write(out);
+        self.launch_overhead_saved_s.write(out);
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        Ok(Self {
+            serialized_s: r.read()?,
+            fused_launches: r.read()?,
+            launches_saved: r.read()?,
+            preemptions: r.read()?,
+            ticks: r.read()?,
+            autosaves: r.read()?,
+            iterations_executed: r.read()?,
+            stream_makespan_s: r.read()?,
+            stream_serialized_s: r.read()?,
+            spans: r.read()?,
+            span_iterations: r.read()?,
+            launch_overhead_saved_s: r.read()?,
+        })
+    }
+}
+
+/// One job's metadata; its id is written beside it as the map key.
+impl Persist for JobMeta {
+    fn write(&self, out: &mut Vec<u8>) {
+        self.submitted_s.write(out);
+        self.first_started_s.write(out);
+        self.tenant.write(out);
+        self.iter_budget.write(out);
+        self.deadline_s.write(out);
+        self.checkpoint.write(out);
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        Ok(Self {
+            submitted_s: r.read()?,
+            first_started_s: r.read()?,
+            tenant: r.read()?,
+            iter_budget: r.read()?,
+            deadline_s: r.read()?,
+            checkpoint: r.read()?,
+        })
+    }
+}
+
+/// Metadata entries as a count, then `(id, meta)` pairs: the whole map
+/// in a full checkpoint, the upserts in a delta.
+pub(crate) fn write_meta<'a>(
+    entries: impl IntoIterator<Item = (&'a JobId, &'a JobMeta), IntoIter: ExactSizeIterator>,
+    out: &mut Vec<u8>,
+) {
+    let entries = entries.into_iter();
+    entries.len().write(out);
+    for (id, m) in entries {
+        id.write(out);
+        m.write(out);
+    }
+}
+
+/// Decode what [`write_meta`] wrote, upserting into `meta`.
+pub(crate) fn read_meta_into(
+    r: &mut Reader<'_>,
+    meta: &mut BTreeMap<JobId, JobMeta>,
+) -> Result<(), PersistError> {
+    let len: usize = r.read()?;
+    for _ in 0..len {
+        let id: JobId = r.read()?;
+        meta.insert(id, r.read()?);
+    }
+    Ok(())
+}
+
+/// The pending-cancel set, as a sequence of ids.
+pub(crate) fn write_cancels(cancels: &BTreeSet<JobId>, out: &mut Vec<u8>) {
+    cancels.len().write(out);
+    for id in cancels {
+        id.write(out);
+    }
+}
+
+/// Decode what [`write_cancels`] wrote.
+pub(crate) fn read_cancels(r: &mut Reader<'_>) -> Result<BTreeSet<JobId>, PersistError> {
+    Ok(r.read::<Vec<JobId>>()?.into_iter().collect())
+}
+
 impl FleetCheckpoint {
     /// Encode the whole snapshot into bytes (see the module docs
     /// for the format).
@@ -292,30 +396,9 @@ impl FleetCheckpoint {
         for report in self.done.values() {
             write_report(report, &mut out);
         }
-        self.meta.len().write(&mut out);
-        for (id, m) in &self.meta {
-            id.0.write(&mut out);
-            m.submitted_s.write(&mut out);
-            m.first_started_s.write(&mut out);
-            m.tenant.write(&mut out);
-            m.iter_budget.write(&mut out);
-            m.deadline_s.write(&mut out);
-            m.checkpoint.write(&mut out);
-        }
-        let cancels: Vec<u64> = self.cancel_requested.iter().map(|id| id.0).collect();
-        cancels.write(&mut out);
-        self.serialized_s.write(&mut out);
-        self.fused_launches.write(&mut out);
-        self.launches_saved.write(&mut out);
-        self.preemptions.write(&mut out);
-        self.ticks.write(&mut out);
-        self.autosaves.write(&mut out);
-        self.iterations_executed.write(&mut out);
-        self.stream_makespan_s.write(&mut out);
-        self.stream_serialized_s.write(&mut out);
-        self.spans.write(&mut out);
-        self.span_iterations.write(&mut out);
-        self.launch_overhead_saved_s.write(&mut out);
+        write_meta(&self.meta, &mut out);
+        write_cancels(&self.cancel_requested, &mut out);
+        self.counters.write(&mut out);
         out
     }
 
@@ -352,7 +435,7 @@ impl FleetCheckpoint {
                         let job = registry.decode_job(&mut r)?;
                         jobs.push(ActiveJob { job, deficit });
                     }
-                    Some(ActiveSnapshot { jobs, started_s, slice_budget, slice_used })
+                    Some(Active { jobs, started_s, slice_budget, slice_used })
                 }
                 b => return Err(PersistError::new(format!("bad active-slot tag {b}"))),
             });
@@ -367,24 +450,9 @@ impl FleetCheckpoint {
             let report = read_report(&mut r)?;
             done.insert(report.id, report);
         }
-        let meta_len: usize = r.read()?;
         let mut meta = BTreeMap::new();
-        for _ in 0..meta_len {
-            let id = JobId(r.read::<u64>()?);
-            meta.insert(
-                id,
-                JobMeta {
-                    submitted_s: r.read()?,
-                    first_started_s: r.read()?,
-                    tenant: r.read()?,
-                    iter_budget: r.read()?,
-                    deadline_s: r.read()?,
-                    checkpoint: r.read()?,
-                },
-            );
-        }
-        let cancels: Vec<u64> = r.read()?;
-        let cancel_requested: BTreeSet<JobId> = cancels.into_iter().map(JobId).collect();
+        read_meta_into(&mut r, &mut meta)?;
+        let cancel_requested = read_cancels(&mut r)?;
         let checkpoint = Self {
             specs,
             device_books,
@@ -398,18 +466,7 @@ impl FleetCheckpoint {
             done,
             meta,
             cancel_requested,
-            serialized_s: r.read()?,
-            fused_launches: r.read()?,
-            launches_saved: r.read()?,
-            preemptions: r.read()?,
-            ticks: r.read()?,
-            autosaves: r.read()?,
-            iterations_executed: r.read()?,
-            stream_makespan_s: r.read()?,
-            stream_serialized_s: r.read()?,
-            spans: r.read()?,
-            span_iterations: r.read()?,
-            launch_overhead_saved_s: r.read()?,
+            counters: r.read()?,
         };
         if r.remaining() != 0 {
             return Err(PersistError::new(format!(

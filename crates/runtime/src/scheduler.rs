@@ -158,6 +158,34 @@ pub(crate) struct JobMeta {
     pub checkpoint: bool,
 }
 
+/// The fleet's cumulative counters: what [`FleetReport`] totals and
+/// every checkpoint carries (full and delta alike, in this field order).
+#[derive(Copy, Clone, Debug, Default)]
+pub(crate) struct FleetCounters {
+    pub serialized_s: f64,
+    pub fused_launches: u64,
+    pub launches_saved: u64,
+    pub preemptions: u64,
+    pub ticks: u64,
+    pub autosaves: u64,
+    /// Job-iterations executed across every backend step (fused groups
+    /// count one per member) — the denominator of the bytes-moved-per-
+    /// iteration report.
+    pub iterations_executed: u64,
+    /// Cumulative stream-schedule makespan charged by device steps.
+    pub stream_makespan_s: f64,
+    /// What the same device operations would cost back-to-back — the
+    /// stream-overlap baseline.
+    pub stream_serialized_s: f64,
+    /// Multi-iteration stream spans priced by fused steps.
+    pub spans: u64,
+    /// Iterations that ran inside those spans (mean span length =
+    /// `span_iterations / spans`).
+    pub span_iterations: u64,
+    /// Launch overhead amortized away by persistent-kernel spans.
+    pub launch_overhead_saved_s: f64,
+}
+
 /// A queued job in transit between schedulers: the executor (cursor
 /// state included), its lifecycle metadata, its fair-share credit and
 /// any pending cancel request — everything the donor knew. Produced by
@@ -215,41 +243,20 @@ impl StolenJob {
 pub struct Scheduler {
     devices: MultiDevice,
     cfg: SchedulerConfig,
-    queue: Vec<QueueEntry>,
-    active: Vec<Option<Active>>,
-    clocks: Vec<f64>,
-    rr_next: usize,
-    next_id: u64,
-    next_seq: u64,
-    done: BTreeMap<JobId, JobReport>,
-    meta: BTreeMap<JobId, JobMeta>,
-    cancel_requested: BTreeSet<JobId>,
+    pub(crate) queue: Vec<QueueEntry>,
+    pub(crate) active: Vec<Option<Active>>,
+    pub(crate) clocks: Vec<f64>,
+    pub(crate) rr_next: usize,
+    pub(crate) next_id: u64,
+    pub(crate) next_seq: u64,
+    pub(crate) done: BTreeMap<JobId, JobReport>,
+    pub(crate) meta: BTreeMap<JobId, JobMeta>,
+    pub(crate) cancel_requested: BTreeSet<JobId>,
     /// Live jobs carrying an envelope constraint (deadline or iteration
     /// budget) — lets the per-tick policy sweep skip entirely in the
     /// common all-plain-submissions case.
     policed: BTreeSet<JobId>,
-    serialized_s: f64,
-    fused_launches: u64,
-    launches_saved: u64,
-    preemptions: u64,
-    ticks: u64,
-    autosaves: u64,
-    /// Job-iterations executed across every backend step (fused groups
-    /// count one per member) — the denominator of the bytes-moved-per-
-    /// iteration report.
-    iterations_executed: u64,
-    /// Cumulative stream-schedule makespan charged by device steps.
-    stream_makespan_s: f64,
-    /// What the same device operations would cost back-to-back — the
-    /// stream-overlap baseline.
-    stream_serialized_s: f64,
-    /// Multi-iteration stream spans priced by fused steps.
-    spans: u64,
-    /// Iterations that ran inside those spans (mean span length =
-    /// `span_iterations / spans`).
-    span_iterations: u64,
-    /// Launch overhead amortized away by persistent-kernel spans.
-    launch_overhead_saved_s: f64,
+    pub(crate) counters: FleetCounters,
     telemetry: Option<Telemetry>,
     /// Cumulative outcome counters, bumped as jobs retire — kept so the
     /// per-tick telemetry sample never rescans the done map (which
@@ -286,18 +293,7 @@ impl Scheduler {
             meta: BTreeMap::new(),
             cancel_requested: BTreeSet::new(),
             policed: BTreeSet::new(),
-            serialized_s: 0.0,
-            fused_launches: 0,
-            launches_saved: 0,
-            preemptions: 0,
-            ticks: 0,
-            autosaves: 0,
-            iterations_executed: 0,
-            stream_makespan_s: 0.0,
-            stream_serialized_s: 0.0,
-            spans: 0,
-            span_iterations: 0,
-            launch_overhead_saved_s: 0.0,
+            counters: FleetCounters::default(),
             telemetry,
             completed_count: 0,
             cancelled_count: 0,
@@ -397,7 +393,7 @@ impl Scheduler {
         if !self.observe.enabled() {
             return;
         }
-        let record = EventRecord { tick: self.ticks, now_s: self.now_s(), event };
+        let record = EventRecord { tick: self.counters.ticks, now_s: self.now_s(), event };
         self.observe.emit(record);
     }
 
@@ -615,7 +611,7 @@ impl Scheduler {
             return false;
         };
         let entry = self.queue.swap_remove(i);
-        self.serialized_s += entry.job.serial_equivalent_s(self.devices.spec(0));
+        self.counters.serialized_s += entry.job.serial_equivalent_s(self.devices.spec(0));
         let now = self.now_s();
         self.complete(entry.job, "(rejected by admission control)".into(), now, false, true);
         true
@@ -668,14 +664,14 @@ impl Scheduler {
         for b in 0..self.active.len() {
             progressed |= self.step_backend(b);
         }
-        self.ticks += 1;
+        self.counters.ticks += 1;
         if let Some(every) = self.cfg.autosave_every_ticks {
-            if every > 0 && self.ticks.is_multiple_of(every) {
+            if every > 0 && self.counters.ticks.is_multiple_of(every) {
                 self.autosave();
             }
         }
         if let Some(every) = self.cfg.telemetry_every_ticks {
-            if every > 0 && self.ticks.is_multiple_of(every) {
+            if every > 0 && self.counters.ticks.is_multiple_of(every) {
                 self.sample_telemetry();
             }
         }
@@ -694,14 +690,14 @@ impl Scheduler {
     fn sample_telemetry(&mut self) {
         let books = self.devices.books_sum();
         let sample = TickSample {
-            tick: self.ticks,
+            tick: self.counters.ticks,
             now_s: self.now_s(),
             queue_depth: self.queue.len() as u64,
             running: self.running_len() as u64,
             completed: self.completed_count,
             cancelled: self.cancelled_count,
             rejected: self.rejected_count,
-            preemptions: self.preemptions,
+            preemptions: self.counters.preemptions,
             device_busy_s: self.clocks[..self.devices.len()].to_vec(),
             bytes_h2d: books.bytes_h2d,
             bytes_d2h: books.bytes_d2h,
@@ -722,7 +718,7 @@ impl Scheduler {
         }
         match self.checkpoint().save(&path) {
             Ok(()) => {
-                self.autosaves += 1;
+                self.counters.autosaves += 1;
                 if self.observing() {
                     let pending = (self.queue.len() + self.running_len()) as u64;
                     self.emit_event(FleetEvent::Checkpointed { pending });
@@ -799,7 +795,7 @@ impl Scheduler {
         while i < self.queue.len() {
             if ids.contains(&self.queue[i].job.id()) {
                 let entry = self.queue.swap_remove(i);
-                self.serialized_s += entry.job.serial_equivalent_s(self.devices.spec(0));
+                self.counters.serialized_s += entry.job.serial_equivalent_s(self.devices.spec(0));
                 self.complete(entry.job, queued_backend.into(), now, cancelled, false);
             } else {
                 i += 1;
@@ -810,7 +806,7 @@ impl Scheduler {
             let mut still = Vec::with_capacity(active.jobs.len());
             for aj in active.jobs {
                 if ids.contains(&aj.job.id()) {
-                    self.serialized_s += aj.job.serial_equivalent_s(self.devices.spec(0));
+                    self.counters.serialized_s += aj.job.serial_equivalent_s(self.devices.spec(0));
                     let name = self.backend_name(b);
                     let at = self.clocks[b];
                     self.complete(aj.job, name, at, cancelled, false);
@@ -1075,8 +1071,8 @@ impl Scheduler {
                 LaunchMode::PerIteration => run.iters,
                 LaunchMode::PersistentSpan => 1,
             };
-            self.fused_launches += issued;
-            self.launches_saved += lanes * run.iters - issued;
+            self.counters.fused_launches += issued;
+            self.counters.launches_saved += lanes * run.iters - issued;
             run
         } else if is_device {
             active.jobs[0].job.step_device(self.devices.device_mut(b), quota)
@@ -1086,15 +1082,15 @@ impl Scheduler {
         self.clocks[b] += run.seconds;
         active.slice_used += run.iters;
         // Fused groups advance every member one iteration per step.
-        self.iterations_executed += run.iters * active.jobs.len() as u64;
+        self.counters.iterations_executed += run.iters * active.jobs.len() as u64;
         if is_device {
-            self.stream_makespan_s += run.seconds;
-            self.stream_serialized_s += run.serialized_s;
+            self.counters.stream_makespan_s += run.seconds;
+            self.counters.stream_serialized_s += run.serialized_s;
             if run.spans > 0 {
-                self.spans += run.spans;
-                self.span_iterations += run.iters;
+                self.counters.spans += run.spans;
+                self.counters.span_iterations += run.iters;
             }
-            self.launch_overhead_saved_s += run.launch_overhead_saved_s;
+            self.counters.launch_overhead_saved_s += run.launch_overhead_saved_s;
         }
         if let Some((device, jobs, start_s, book_before)) = quantum_ctx {
             let (bytes_h2d, bytes_d2h) = match book_before {
@@ -1122,7 +1118,7 @@ impl Scheduler {
         let mut still: Vec<ActiveJob> = Vec::with_capacity(active.jobs.len());
         for aj in active.jobs {
             if aj.job.done() {
-                self.serialized_s += aj.job.serial_equivalent_s(self.devices.spec(0));
+                self.counters.serialized_s += aj.job.serial_equivalent_s(self.devices.spec(0));
                 let name = self.backend_name(b);
                 let at = self.clocks[b];
                 self.complete(aj.job, name, at, false, false);
@@ -1135,7 +1131,7 @@ impl Scheduler {
             if self.cfg.quantum_iters.is_some() && slice_over && !self.queue.is_empty() {
                 // Preempt: spend each survivor's credit and send it back
                 // through the fair-share queue.
-                self.preemptions += 1;
+                self.counters.preemptions += 1;
                 if observing {
                     let device = self.backend_name(b);
                     let ids: Vec<JobId> = still.iter().map(|a| a.job.id()).collect();
@@ -1216,6 +1212,7 @@ impl Scheduler {
         let jobs_rejected = tenant_stats.iter().filter(|t| t.rejected).count() as u64;
         let jobs_completed = self.done.len() as u64 - jobs_cancelled - jobs_rejected;
         let jobs_running = self.active.iter().flatten().map(|a| a.jobs.len() as u64).sum();
+        let c = self.counters;
         FleetReport {
             jobs_completed,
             jobs_cancelled,
@@ -1223,22 +1220,22 @@ impl Scheduler {
             jobs_queued: self.queue.len() as u64,
             jobs_running,
             makespan_s,
-            serialized_s: self.serialized_s,
-            speedup_vs_serial: if makespan_s > 0.0 { self.serialized_s / makespan_s } else { 1.0 },
+            serialized_s: c.serialized_s,
+            speedup_vs_serial: if makespan_s > 0.0 { c.serialized_s / makespan_s } else { 1.0 },
             device_busy_s,
             device_utilization,
             cpu_busy_s,
             jobs_per_sim_s: if makespan_s > 0.0 { jobs_completed as f64 / makespan_s } else { 0.0 },
-            fused_launches: self.fused_launches,
-            launches_saved: self.launches_saved,
-            preemptions: self.preemptions,
-            autosaves: self.autosaves,
-            iterations_executed: self.iterations_executed,
-            stream_makespan_s: self.stream_makespan_s,
-            stream_serialized_s: self.stream_serialized_s,
-            spans: self.spans,
-            span_iterations: self.span_iterations,
-            launch_overhead_saved_s: self.launch_overhead_saved_s,
+            fused_launches: c.fused_launches,
+            launches_saved: c.launches_saved,
+            preemptions: c.preemptions,
+            autosaves: c.autosaves,
+            iterations_executed: c.iterations_executed,
+            stream_makespan_s: c.stream_makespan_s,
+            stream_serialized_s: c.stream_serialized_s,
+            spans: c.spans,
+            span_iterations: c.span_iterations,
+            launch_overhead_saved_s: c.launch_overhead_saved_s,
             max_wait_s,
             mean_wait_s,
             max_turnaround_s,
@@ -1257,38 +1254,10 @@ impl Scheduler {
 
     // -- checkpoint / resume ------------------------------------------
 
-    /// Borrowed view of everything a delta checkpoint needs: live jobs
-    /// by reference (so dirty detection never clones or re-encodes a
-    /// clean job), plus the scalar state that always rides along. Used
-    /// by [`DeltaCheckpointer`](crate::DeltaCheckpointer); full
-    /// snapshots keep going through [`checkpoint`](Self::checkpoint).
-    pub(crate) fn delta_parts(&self) -> DeltaParts<'_> {
-        DeltaParts {
-            device_books: (0..self.devices.len())
-                .map(|i| self.devices.device(i).book().clone())
-                .collect(),
-            queue: &self.queue,
-            active: &self.active,
-            clocks: &self.clocks,
-            rr_next: self.rr_next,
-            next_id: self.next_id,
-            next_seq: self.next_seq,
-            done: &self.done,
-            meta: &self.meta,
-            cancel_requested: &self.cancel_requested,
-            serialized_s: self.serialized_s,
-            fused_launches: self.fused_launches,
-            launches_saved: self.launches_saved,
-            preemptions: self.preemptions,
-            ticks: self.ticks,
-            autosaves: self.autosaves,
-            iterations_executed: self.iterations_executed,
-            stream_makespan_s: self.stream_makespan_s,
-            stream_serialized_s: self.stream_serialized_s,
-            spans: self.spans,
-            span_iterations: self.span_iterations,
-            launch_overhead_saved_s: self.launch_overhead_saved_s,
-        }
+    /// Whether job `id` rides in checkpoints (everything not submitted
+    /// [`without_checkpoint`](crate::JobSpec::without_checkpoint)).
+    pub(crate) fn checkpointable(&self, id: JobId) -> bool {
+        self.meta.get(&id).is_none_or(|m| m.checkpoint)
     }
 
     /// Snapshot the whole fleet: queued jobs (with their fair-share
@@ -1299,7 +1268,6 @@ impl Scheduler {
     /// is independent of the live scheduler; [`Scheduler::restore`]
     /// rebuilds an equivalent scheduler that continues deterministically.
     pub fn checkpoint(&self) -> FleetCheckpoint {
-        let included = |id: &JobId| self.meta.get(id).is_none_or(|m| m.checkpoint);
         FleetCheckpoint {
             specs: (0..self.devices.len()).map(|i| self.devices.spec(i).clone()).collect(),
             device_books: (0..self.devices.len())
@@ -1309,7 +1277,7 @@ impl Scheduler {
             queue: self
                 .queue
                 .iter()
-                .filter(|e| included(&e.job.id()))
+                .filter(|e| self.checkpointable(e.job.id()))
                 .map(|e| QueueEntry { job: e.job.clone_box(), deficit: e.deficit })
                 .collect(),
             active: self
@@ -1320,15 +1288,10 @@ impl Scheduler {
                         let jobs: Vec<ActiveJob> = a
                             .jobs
                             .iter()
-                            .filter(|aj| included(&aj.job.id()))
+                            .filter(|aj| self.checkpointable(aj.job.id()))
                             .map(|aj| ActiveJob { job: aj.job.clone_box(), deficit: aj.deficit })
                             .collect();
-                        (!jobs.is_empty()).then_some(ActiveSnapshot {
-                            jobs,
-                            started_s: a.started_s,
-                            slice_budget: a.slice_budget,
-                            slice_used: a.slice_used,
-                        })
+                        (!jobs.is_empty()).then_some(Active { jobs, ..*a })
                     })
                 })
                 .collect(),
@@ -1339,18 +1302,7 @@ impl Scheduler {
             done: self.done.clone(),
             meta: self.meta.clone(),
             cancel_requested: self.cancel_requested.clone(),
-            serialized_s: self.serialized_s,
-            fused_launches: self.fused_launches,
-            launches_saved: self.launches_saved,
-            preemptions: self.preemptions,
-            ticks: self.ticks,
-            autosaves: self.autosaves,
-            iterations_executed: self.iterations_executed,
-            stream_makespan_s: self.stream_makespan_s,
-            stream_serialized_s: self.stream_serialized_s,
-            spans: self.spans,
-            span_iterations: self.span_iterations,
-            launch_overhead_saved_s: self.launch_overhead_saved_s,
+            counters: self.counters,
         }
     }
 
@@ -1394,18 +1346,7 @@ impl Scheduler {
             devices,
             cfg: checkpoint.cfg,
             queue: checkpoint.queue,
-            active: checkpoint
-                .active
-                .into_iter()
-                .map(|slot| {
-                    slot.map(|a| Active {
-                        jobs: a.jobs,
-                        started_s: a.started_s,
-                        slice_budget: a.slice_budget,
-                        slice_used: a.slice_used,
-                    })
-                })
-                .collect(),
+            active: checkpoint.active,
             clocks: checkpoint.clocks,
             rr_next: checkpoint.rr_next,
             next_id: checkpoint.next_id,
@@ -1414,18 +1355,7 @@ impl Scheduler {
             meta: checkpoint.meta,
             cancel_requested: checkpoint.cancel_requested,
             policed,
-            serialized_s: checkpoint.serialized_s,
-            fused_launches: checkpoint.fused_launches,
-            launches_saved: checkpoint.launches_saved,
-            preemptions: checkpoint.preemptions,
-            ticks: checkpoint.ticks,
-            autosaves: checkpoint.autosaves,
-            iterations_executed: checkpoint.iterations_executed,
-            stream_makespan_s: checkpoint.stream_makespan_s,
-            stream_serialized_s: checkpoint.stream_serialized_s,
-            spans: checkpoint.spans,
-            span_iterations: checkpoint.span_iterations,
-            launch_overhead_saved_s: checkpoint.launch_overhead_saved_s,
+            counters: checkpoint.counters,
             telemetry,
             completed_count,
             cancelled_count,
@@ -1435,40 +1365,6 @@ impl Scheduler {
             observe: ObserveState::default(),
         }
     }
-}
-
-pub(crate) struct ActiveSnapshot {
-    pub jobs: Vec<ActiveJob>,
-    pub started_s: f64,
-    pub slice_budget: u64,
-    pub slice_used: u64,
-}
-
-/// Borrowed scheduler state for delta checkpoints (see
-/// [`Scheduler::delta_parts`]).
-pub(crate) struct DeltaParts<'a> {
-    pub device_books: Vec<TimeBook>,
-    pub queue: &'a [QueueEntry],
-    pub active: &'a [Option<Active>],
-    pub clocks: &'a [f64],
-    pub rr_next: usize,
-    pub next_id: u64,
-    pub next_seq: u64,
-    pub done: &'a BTreeMap<JobId, JobReport>,
-    pub meta: &'a BTreeMap<JobId, JobMeta>,
-    pub cancel_requested: &'a BTreeSet<JobId>,
-    pub serialized_s: f64,
-    pub fused_launches: u64,
-    pub launches_saved: u64,
-    pub preemptions: u64,
-    pub ticks: u64,
-    pub autosaves: u64,
-    pub iterations_executed: u64,
-    pub stream_makespan_s: f64,
-    pub stream_serialized_s: f64,
-    pub spans: u64,
-    pub span_iterations: u64,
-    pub launch_overhead_saved_s: f64,
 }
 
 /// A self-contained fleet snapshot (see [`Scheduler::checkpoint`]).
@@ -1484,7 +1380,7 @@ pub struct FleetCheckpoint {
     pub(crate) device_books: Vec<TimeBook>,
     pub(crate) cfg: SchedulerConfig,
     pub(crate) queue: Vec<QueueEntry>,
-    pub(crate) active: Vec<Option<ActiveSnapshot>>,
+    pub(crate) active: Vec<Option<Active>>,
     pub(crate) clocks: Vec<f64>,
     pub(crate) rr_next: usize,
     pub(crate) next_id: u64,
@@ -1492,18 +1388,7 @@ pub struct FleetCheckpoint {
     pub(crate) done: BTreeMap<JobId, JobReport>,
     pub(crate) meta: BTreeMap<JobId, JobMeta>,
     pub(crate) cancel_requested: BTreeSet<JobId>,
-    pub(crate) serialized_s: f64,
-    pub(crate) fused_launches: u64,
-    pub(crate) launches_saved: u64,
-    pub(crate) preemptions: u64,
-    pub(crate) ticks: u64,
-    pub(crate) autosaves: u64,
-    pub(crate) iterations_executed: u64,
-    pub(crate) stream_makespan_s: f64,
-    pub(crate) stream_serialized_s: f64,
-    pub(crate) spans: u64,
-    pub(crate) span_iterations: u64,
-    pub(crate) launch_overhead_saved_s: f64,
+    pub(crate) counters: FleetCounters,
 }
 
 impl FleetCheckpoint {
@@ -1516,7 +1401,7 @@ impl FleetCheckpoint {
     /// restored fleet resumes from (steal barriers and cadences key off
     /// it).
     pub fn ticks(&self) -> u64 {
-        self.ticks
+        self.counters.ticks
     }
 
     /// Jobs captured mid-run (cursor state preserved).
